@@ -26,13 +26,17 @@ from .fields import (
     FieldError,
     _kmag,
     _make,
-    _clean,
-    block_slices,
+    _band,
+    _samples,
     power_multiplier,
     apply_multiplier,
     sobolev_norm,
     lebesgue_norm,
 )
+
+
+# Most steps one evolve call may take; a larger request is an input error.
+MAX_STEPS = 2 ** 20
 
 
 class BlowUpError(RuntimeError):
@@ -130,24 +134,8 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 
 def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back."""
-    n, dim = grid.n, grid.dim
-    m = n * oversample
-    if oversample > 1:
-        big = np.zeros((m,) * dim, dtype=np.complex128)
-        for src, dst in block_slices(n, m, dim):
-            big[dst] = ucoef[src]
-    else:
-        big = ucoef
-    u_phys = np.real(np.fft.ifftn(big)) * m ** dim
-    g_phys = np.abs(u_phys) ** (p - 1.0) * u_phys
-    g_big = np.fft.fftn(g_phys) / m ** dim
-    if oversample > 1:
-        g = np.zeros((n,) * dim, dtype=np.complex128)
-        for src, dst in block_slices(n, m, dim):
-            g[src] = g_big[dst]
-    else:
-        g = g_big
-    return _clean(grid, g)
+    u_phys = _samples(grid, ucoef, oversample * grid.n)
+    return _band(grid, np.abs(u_phys) ** (p - 1.0) * u_phys)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
@@ -180,8 +168,9 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
     The step is cfg.dt or the largest value below it that divides the sampling
     interval evenly, so every observation lands exactly on a step boundary.
-    The horizon must be an integer number of sampling intervals.  Non-finite
-    values abort with BlowUpError and the offending time stamp.
+    The horizon must be an integer number of sampling intervals, and the run
+    at most MAX_STEPS steps.  Non-finite values abort with BlowUpError and the
+    offending time stamp.
     """
     if not horizon > 0.0:
         raise FieldError(f"horizon must be positive, got {horizon}")
@@ -193,6 +182,8 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
         raise FieldError(
             f"horizon {horizon} is not an integer number of sampling intervals {interval}")
     steps_per = max(1, math.ceil(interval / cfg.dt - 1e-12))
+    if n_samples * steps_per > MAX_STEPS:
+        raise FieldError(f"{n_samples * steps_per} steps exceed the cap of {MAX_STEPS}")
     h = interval / steps_per
 
     grid = state.grid

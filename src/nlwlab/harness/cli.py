@@ -6,7 +6,8 @@ writes a CSV of records plus a JSON summary, and prints one line per
 assertion.
 
 Exit codes: 0 all assertions pass, 1 at least one assertion fails,
-2 configuration or parameter errors, 3 runtime failures (blow-up, I/O).
+2 configuration or parameter errors, 3 runtime failures (blow-up, I/O, or
+any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -159,9 +160,13 @@ def _run_one_experiment(name: str, args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "params":
-        return _run_params(args)
-    return _run_one_experiment(args.command, args)
+    try:
+        if args.command == "params":
+            return _run_params(args)
+        return _run_one_experiment(args.command, args)
+    except Exception as exc:
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -4,15 +4,18 @@ Config files are plain text, one `key = value` per line, `#` comments allowed.
 There is no nesting: structure lives in the key (grid.n, acl.cutoffs).  Every
 knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
-Lists are comma-separated.  The resolved configuration is hashed (sha256 of
-the canonical key=value listing) and the hash is stamped into every output so
-records from different configurations can never be silently mixed.
+Lists are comma-separated; float values must be finite, and a stepped run may
+not ask for more than MAX_STEPS steps.  The resolved configuration is hashed
+(sha256 of the canonical key=value listing) and the hash is stamped into every
+output so records from different configurations can never be silently mixed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+
+from ..dynamics import MAX_STEPS
 
 EXPERIMENTS = ("acl", "lemma-a", "lemma-b", "growth", "scaling", "continuity",
                "strichartz")
@@ -113,6 +116,17 @@ DEFAULTS: dict[str, dict] = {
 # Integer-valued list keys (everything else comma-separated parses as floats).
 _INT_TUPLE_KEYS = {"seeds"}
 
+# (horizon, sample interval) keys of each experiment's stepped run; a list
+# horizon means its largest entry.
+_STEPPED_RUN = {
+    "acl": ("acl.horizon", "acl.sample_interval"),
+    "lemma-b": ("bracket.horizon", "bracket.sample_interval"),
+    "growth": ("growth.checkpoints", "growth.sample_interval"),
+    "scaling": ("scaling.horizon", "scaling.sample_interval"),
+    "continuity": ("continuity.t_star", "continuity.t_star"),
+    "strichartz": ("zbound.tau", "zbound.sample_interval"),
+}
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse `key = value` lines into a raw string mapping."""
@@ -170,6 +184,27 @@ def _coerce(key: str, raw: str, default):
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
 
+def _require_finite(key: str, value) -> None:
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{key} must be finite, got {canonical_value(value)!r}")
+
+
+def _check_step_count(experiment: str, values: dict) -> None:
+    """Reject a stepped run that asks for more than MAX_STEPS steps."""
+    if experiment not in _STEPPED_RUN:
+        return
+    horizon_key, interval_key = _STEPPED_RUN[experiment]
+    horizon = values[horizon_key]
+    if isinstance(horizon, tuple):
+        horizon = max(horizon, default=0.0)
+    step = min(values["stepper.dt"], values[interval_key])
+    if horizon > 0.0 and step > 0.0 and horizon / step > MAX_STEPS:
+        raise ConfigError(
+            f"{horizon_key}={horizon!r} with step {step!r} asks for about "
+            f"{horizon / step:.3g} steps, above the cap of {MAX_STEPS}")
+
+
 def build_config(experiment: str, file_text: str | None = None,
                  overrides=None) -> dict:
     """Resolve defaults, file values, and overrides into a typed mapping."""
@@ -187,6 +222,8 @@ def build_config(experiment: str, file_text: str | None = None,
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r} for {experiment}")
             values[key] = _coerce(key, raw, DEFAULTS[experiment][key])
+            _require_finite(key, values[key])
+    _check_step_count(experiment, values)
     return values
 
 

@@ -29,7 +29,9 @@ from nlwlab.dynamics import (
 from nlwlab.fields import (
     FieldError,
     Grid,
+    _reverse_indices,
     apply_multiplier,
+    block_slices,
     from_coeffs,
     low_pass,
     power_multiplier,
@@ -173,6 +175,47 @@ class TestNonlinearKick:
         assert np.max(np.abs(g.coeffs - oracle)) < 1e-10 * scale
 
 
+def c2c_kick(grid, coeffs, p, oversample):
+    """Reference kick: complex transforms over the full padded spectrum."""
+    n, dim = grid.n, grid.dim
+    m = n * oversample
+    big = np.zeros((m,) * dim, dtype=np.complex128)
+    for src, dst in block_slices(n, m, dim):
+        big[dst] = coeffs[src]
+    u_phys = np.real(np.fft.ifftn(big)) * m ** dim
+    g_big = np.fft.fftn(np.abs(u_phys) ** (p - 1.0) * u_phys) / m ** dim
+    g = np.zeros(grid.shape, dtype=np.complex128)
+    for src, dst in block_slices(n, m, dim):
+        g[src] = g_big[dst]
+    half = n // 2
+    for axis in range(dim):
+        idx = [slice(None)] * dim
+        idx[axis] = half
+        g[tuple(idx)] = 0.0
+    g[(0,) * dim] = 0.0
+    return g
+
+
+class TestRealTransformKick:
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    def test_matches_c2c_reference(self, grid, oversample):
+        u = band_field(grid, 31, cutoff=grid.nyquist, amp=2.0)
+        g = nonlinear_term(u, 4.0, oversample).coeffs
+        ref = c2c_kick(grid, u.coeffs, 4.0, oversample)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    def test_output_is_exactly_hermitian_and_clean(self, grid, oversample):
+        u = band_field(grid, 32, cutoff=grid.nyquist, amp=2.0)
+        g = nonlinear_term(u, 3.5, oversample).coeffs
+        assert np.array_equal(g, np.conj(_reverse_indices(g)))
+        assert g[(0,) * grid.dim] == 0.0
+        for axis in range(grid.dim):
+            assert not np.any(np.take(g, grid.n // 2, axis=axis))
+
+
 class TestStrangStep:
     def test_self_convergence_order(self):
         w = make_state(31)
@@ -241,6 +284,11 @@ class TestEvolve:
             evolve(w, -1.0, cfg)
         with pytest.raises(FieldError):
             evolve(w, 1.0, cfg, sample_interval=2.0)
+
+    def test_step_count_capped_before_stepping(self):
+        with pytest.raises(FieldError, match="cap"):
+            evolve(make_state(3), 1.0, StepperConfig(dt=1e-300, p=4.0),
+                   sample_interval=1.0)
 
     def test_step_adjusts_down_to_divide_interval(self):
         w = make_state(43)

@@ -13,6 +13,10 @@ import pytest
 from nlwlab.fields import (
     FieldError,
     Grid,
+    _pad,
+    _reverse_indices,
+    _symbol,
+    _truncate,
     apply_multiplier,
     block_slices,
     fields_from_bytes,
@@ -118,6 +122,15 @@ class TestTransform:
         back = from_physical(G3, to_physical(f))
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_from_physical_matches_c2c_and_is_hermitian(self, grid):
+        samples = np.random.default_rng(19).standard_normal(grid.shape)
+        got = from_physical(grid, samples).coeffs
+        ref = np.fft.fftn(samples) / grid.num_points
+        keep = got != 0.0  # mean mode and Nyquist planes are cleaned
+        assert np.max(np.abs(got[keep] - ref[keep])) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(got, np.conj(_reverse_indices(got)))
+
     def test_from_physical_rejects_wrong_shape(self):
         with pytest.raises(FieldError):
             from_physical(G3, np.zeros((8, 8, 8)))
@@ -211,6 +224,14 @@ class TestMultipliers:
         g = apply_multiplier(f, smoothing_multiplier(0.5, 0.9))
         sym = hermitian_symmetrize(G3, np.asarray(g.coeffs))
         assert np.max(np.abs(sym - g.coeffs)) < 1e-15
+
+    def test_symbol_is_cached_read_only(self):
+        spec = smoothing_multiplier(0.5, 0.9)
+        sym = _symbol(G3, spec)
+        assert sym is _symbol(G3, smoothing_multiplier(0.5, 0.9))
+        assert not sym.flags.writeable
+        f = random_field(G3, 29)
+        assert np.array_equal(apply_multiplier(f, spec).coeffs, f.coeffs * sym)
 
     def test_unknown_kind_rejected(self):
         from nlwlab.fields import MultiplierSpec
@@ -341,6 +362,28 @@ class TestOversampledValues:
     def test_rejects_silly_factor(self):
         with pytest.raises(FieldError):
             oversampled_values(random_field(G3, 1), 0)
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_matches_c2c_reference(self, grid, factor):
+        f = random_field(grid, 12, decay=1.0)
+        m = factor * grid.n
+        big = np.zeros((m,) * grid.dim, dtype=np.complex128)
+        for src, dst in block_slices(grid.n, m, grid.dim):
+            big[dst] = f.coeffs[src]
+        ref = np.real(np.fft.ifftn(big)) * m ** grid.dim
+        got = oversampled_values(f, factor)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_pad_truncate_round_trip_is_exact(self, grid, factor):
+        f = random_field(grid, 13)
+        half = _pad(grid, f.coeffs, factor * grid.n)
+        assert half.shape == ((factor * grid.n,) * (grid.dim - 1)
+                              + (factor * grid.n // 2 + 1,))
+        assert np.array_equal(_truncate(grid, half), f.coeffs)
 
     def test_block_slices_round_trip(self):
         f = random_field(G3, 99)

@@ -104,6 +104,19 @@ class TestBuildConfig:
                               overrides=["grid.n=128"])
         assert values["grid.n"] == 128
 
+    @pytest.mark.parametrize("pair", ["continuity.t_star=inf",
+                                      "recipe.size_hs=nan",
+                                      "continuity.eps=0.1,-inf"])
+    def test_non_finite_float_rejected(self, pair):
+        with pytest.raises(ConfigError, match="finite"):
+            build_config("continuity", overrides=[pair])
+
+    def test_step_count_capped(self):
+        with pytest.raises(ConfigError, match="steps"):
+            build_config("growth", overrides=["growth.checkpoints=1,2e6",
+                                              "growth.sample_interval=1"])
+        build_config("growth", overrides=["growth.checkpoints=1,2"])
+
     def test_empty_tuple_value(self):
         values = build_config("lemma-a", overrides=["seeds="])
         assert values["seeds"] == ()
@@ -335,6 +348,31 @@ class TestCli:
     def test_single_growth_checkpoint_is_config_error(self, capsys):
         assert main(["growth", "--seeds", "0", "--workers", "1",
                      "--override", "growth.checkpoints=1"]) == 2
+
+    def test_infinite_t_star_is_config_error(self, capsys):
+        assert main(["continuity", "--seeds", "0,1", "--workers", "1",
+                     "--override", "continuity.t_star=inf"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_infinite_data_size_is_config_error(self, capsys):
+        assert main(["continuity", "--seeds", "0,1", "--workers", "1",
+                     "--override", "recipe.size_hs=inf"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_tiny_step_is_config_error_before_any_run(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run must not start")
+        monkeypatch.setattr("nlwlab.harness.cli.run_experiment", refuse)
+        assert main(["continuity", "--seeds", "0,1", "--workers", "1",
+                     "--override", "stepper.dt=1e-300"]) == 2
+        assert "cap" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("unforeseen")
+        monkeypatch.setattr("nlwlab.harness.cli.run_experiment", crash)
+        assert main(["continuity", "--seeds", "0,1", "--workers", "1"]) == 3
+        assert "ZeroDivisionError: unforeseen" in capsys.readouterr().err
 
     def test_bad_worker_count(self, capsys):
         assert main(["continuity", "--workers", "0"]) == 2
