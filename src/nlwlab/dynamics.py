@@ -135,7 +135,10 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back."""
     u_phys = _samples(grid, ucoef, oversample * grid.n)
-    return _band(grid, np.abs(u_phys) ** (p - 1.0) * u_phys)
+    w = np.abs(u_phys)
+    np.power(w, p - 1.0, out=w)
+    w *= u_phys
+    return _band(grid, w)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:

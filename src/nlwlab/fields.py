@@ -12,9 +12,12 @@ integer vectors.  Three conventions hold for every field in the package:
 
 Transforms act on real data, so they run real-to-complex from the half
 spectrum (k_z >= 0, the last axis).  Coefficients stay stored in the full
-layout; `_pad` and `_truncate` are the only places that move between the two,
-and `_truncate` rebuilds the k_z < 0 half by Hermitian reflection, so every
-transform result is exactly Hermitian.
+layout; `_samples` and `_band` are the only places that move between the two.
+They run numpy's per-axis irfftn/rfftn steps in numpy's axis order, pruned to
+skip the columns that are all zero padding (or are truncated away), so their
+results are bit for bit those of the unpruned transforms.  `_band` rebuilds
+the k_z < 0 half by Hermitian reflection, so every transform result is
+exactly Hermitian.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
@@ -29,7 +32,6 @@ row-major wavenumber order.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -340,62 +342,56 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
     return math.sqrt(field.grid.L ** field.grid.dim * float(np.sum(power)))
 
 
-def block_slices(n_small: int, n_big: int, dim: int):
-    """Per-axis slice pairs mapping a small spectrum into a bigger fftn layout.
+def _resize(a: np.ndarray, axis: int, size: int, h: int) -> np.ndarray:
+    """Keep the first and last h entries of one axis at a new axis length.
 
-    Yields (src, dst) index tuples covering the 2^dim corner blocks; with the
-    Nyquist planes zero the copy is loss-free in both directions.
+    These are the modes 0..h-1 and -h..-1 in fftn layout.  Growing zero-fills
+    the middle (spectral padding); shrinking drops it (truncation).
     """
-    h = n_small // 2
-    lo = slice(0, h)
-    hi_small = slice(n_small - h, n_small)
-    hi_big = slice(n_big - h, n_big)
-    for combo in itertools.product(range(2), repeat=dim):
-        yield (tuple(lo if c == 0 else hi_small for c in combo),
-               tuple(lo if c == 0 else hi_big for c in combo))
-
-
-def _pad(grid: Grid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Full n-point coefficients -> m-point half spectrum (rfftn layout).
-
-    Only k_z in [0, n/2) is kept on the last axis; the rest is the Hermitian
-    mirror or the empty Nyquist plane, so nothing is lost.
-    """
-    n, dim = grid.n, grid.dim
-    kz = (slice(0, n // 2),)
-    half = np.zeros((m,) * (dim - 1) + (m // 2 + 1,), dtype=np.complex128)
-    for src, dst in block_slices(n, m, dim - 1):
-        half[dst + kz] = coeffs[src + kz]
-    return half
-
-
-def _truncate(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """m-point half spectrum -> full n-point layout, exactly Hermitian and clean.
-
-    The resolved k_z >= 0 half is copied, the k_z < 0 half is filled by
-    Hermitian reflection, and the k_z = 0 plane, which both halves share, is
-    replaced by its Hermitian part.
-    """
-    n, dim = grid.n, grid.dim
-    kz = (slice(0, n // 2),)
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for src, dst in block_slices(n, half.shape[0], dim - 1):
-        out[src + kz] = half[dst + kz]
-    out += np.conj(_reverse_indices(out))
-    out[..., 0] *= 0.5
-    return _clean(grid, out)
+    if a.shape[axis] == size:
+        return a
+    shape = list(a.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=a.dtype)
+    lead = (slice(None),) * axis
+    out[lead + (slice(0, h),)] = a[lead + (slice(0, h),)]
+    out[lead + (slice(size - h, size),)] = a[lead + (slice(a.shape[axis] - h, None),)]
+    return out
 
 
 def _samples(grid: Grid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Real values of the coefficients on the m-point grid (m a multiple of n)."""
-    return np.fft.irfftn(_pad(grid, coeffs, m), s=(m,) * grid.dim,
-                         axes=tuple(range(grid.dim)), norm="forward")
+    """Real values of the coefficients on the m-point grid (m a multiple of n).
+
+    The steps and axis order of irfftn, pruned: each leading axis is padded to
+    m just before its own inverse transform, so no transform runs over columns
+    that are all padding.  The last axis goes in as its n/2 resolved k_z, which
+    irfft zero-fills to m/2 + 1 itself.
+    """
+    h = grid.n // 2
+    a = coeffs[..., :h]
+    for axis in range(grid.dim - 1):
+        a = np.fft.ifft(_resize(a, axis, m, h), axis=axis, norm="forward")
+    return np.fft.irfft(a, n=m, axis=-1, norm="forward")
 
 
 def _band(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Resolved-band coefficients of real samples on any m-point grid (m >= n)."""
-    return _truncate(grid, np.fft.rfftn(samples, axes=tuple(range(grid.dim)),
-                                        norm="forward"))
+    """Resolved-band coefficients of real samples on any m-point grid (m >= n).
+
+    The steps and axis order of rfftn, pruned: each leading axis is truncated
+    to n right after its own transform, so later axes transform only resolved
+    columns.  The k_z >= 0 half is then completed by Hermitian reflection, and
+    the k_z = 0 plane, which both halves share, is replaced by its Hermitian
+    part, so the result is exactly Hermitian and clean.
+    """
+    h = grid.n // 2
+    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., :h]
+    for axis in reversed(range(grid.dim - 1)):
+        a = _resize(np.fft.fft(a, axis=axis, norm="forward"), axis, grid.n, h)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    out[..., :h] = a
+    out += np.conj(_reverse_indices(out))
+    out[..., 0] *= 0.5
+    return _clean(grid, out)
 
 
 def oversampled_values(field: SpectralField, factor: int) -> np.ndarray:
@@ -422,7 +418,9 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
         raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
     u = oversampled_values(field, oversample)
     cell = field.grid.L ** field.grid.dim / u.size
-    return float(cell * np.sum(np.abs(u) ** r)) ** (1.0 / r)
+    w = np.abs(u)
+    np.power(w, r, out=w)
+    return float(cell * np.sum(w)) ** (1.0 / r)
 
 
 def frequency_split(field: SpectralField, cutoff: float) -> tuple[SpectralField, SpectralField]:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..data import DataRecipe, perturb, rescale, synthesize
 from ..diagnostics import (
+    _ratio,
     energy_drift,
     fit_loglog_slope,
     initial_bound_ratios,
@@ -81,12 +82,6 @@ def _run_cells(fn, cells, workers: int) -> list:
     chunk = max(1, len(cells) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells, chunksize=chunk))
-
-
-def _safe_ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return 0.0 if num == 0.0 else math.inf
-    return num / den
 
 
 def _assertion(name: str, value: float, threshold: float, sense: str) -> dict:
@@ -388,8 +383,8 @@ def _run_growth(values: dict, workers: int, chash: str):
 
     def margin(ratios: list) -> float:
         # later checkpoints against the constant fitted on the early ones
-        return _safe_ratio(max(ratios[i] for i in held_idx),
-                           max(ratios[i] for i in cal_idx))
+        return _ratio(max(ratios[i] for i in held_idx),
+                      max(ratios[i] for i in cal_idx))
 
     rows, spreads, margins, margins_crit = [], [], [], []
     for seed, measured in _run_cells(_growth_cell, cells, workers):
@@ -496,8 +491,8 @@ def _run_scaling(values: dict, workers: int, chash: str):
                          "residual_rescaled": res_r})
             worst_crit = max(worst_crit, crit_gap)
             worst_hs = max(worst_hs, hs_gap)
-            worst_corr = max(worst_corr, _safe_ratio(corr, err_cal))
-            res_ratio = _safe_ratio(res_r, lam ** decay * res_b)
+            worst_corr = max(worst_corr, _ratio(corr, err_cal))
+            res_ratio = _ratio(res_r, lam ** decay * res_b)
             band_lo = min(band_lo, res_ratio)
             band_hi = max(band_hi, res_ratio)
     band = values["scaling.residual_band"]
@@ -635,7 +630,7 @@ def _strichartz_cell(cell: _StrichartzCell):
         z_value = spacetime_norm(ltraj, triple, params, cell.cutoff)
         data_norm = pair_sobolev_norm(w0, triple.m)
         linear_rows.append((triple.m, triple.q, triple.r, z_value, data_norm,
-                            _safe_ratio(z_value, data_norm)))
+                            _ratio(z_value, data_norm)))
     breakdown = smoothed_energy(w0, cell.zb_cutoff, params.s, params.p)
     amp = _amplitude_for_energy(breakdown.kinetic + breakdown.gradient,
                                 breakdown.potential, params.p,

@@ -31,7 +31,6 @@ from nlwlab.fields import (
     Grid,
     _reverse_indices,
     apply_multiplier,
-    block_slices,
     from_coeffs,
     low_pass,
     power_multiplier,
@@ -40,6 +39,7 @@ from nlwlab.fields import (
     to_physical,
     zero_field,
 )
+from test_spectral_reference import block_slices, reference_band, reference_samples
 
 G3 = Grid(n=16, L=32.0, dim=3)
 G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
@@ -204,6 +204,15 @@ class TestRealTransformKick:
         g = nonlinear_term(u, 4.0, oversample).coeffs
         ref = c2c_kick(grid, u.coeffs, 4.0, oversample)
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    @pytest.mark.parametrize("p", [4.0, 4.3])
+    def test_matches_unpruned_formula_bit_for_bit(self, grid, oversample, p):
+        u = band_field(grid, 33, cutoff=grid.nyquist, amp=2.0)
+        u_phys = reference_samples(grid, u.coeffs, oversample * grid.n)
+        ref = reference_band(grid, np.abs(u_phys) ** (p - 1.0) * u_phys)
+        assert np.array_equal(nonlinear_term(u, p, oversample).coeffs, ref)
 
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
     @pytest.mark.parametrize("oversample", [1, 2, 3])

@@ -13,12 +13,12 @@ import pytest
 from nlwlab.fields import (
     FieldError,
     Grid,
-    _pad,
+    _band,
+    _resize,
     _reverse_indices,
+    _samples,
     _symbol,
-    _truncate,
     apply_multiplier,
-    block_slices,
     fields_from_bytes,
     fields_to_bytes,
     frequency_split,
@@ -42,6 +42,7 @@ from nlwlab.fields import (
     write_spectrum_csv,
     zero_field,
 )
+from test_spectral_reference import block_slices, reference_band, reference_samples
 
 G3 = Grid(n=16, L=32.0, dim=3)
 G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
@@ -380,21 +381,24 @@ class TestOversampledValues:
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_pad_truncate_round_trip_is_exact(self, grid, factor):
         f = random_field(grid, 13)
-        half = _pad(grid, f.coeffs, factor * grid.n)
-        assert half.shape == ((factor * grid.n,) * (grid.dim - 1)
-                              + (factor * grid.n // 2 + 1,))
-        assert np.array_equal(_truncate(grid, half), f.coeffs)
+        m, h = factor * grid.n, grid.n // 2
+        for axis in range(grid.dim):
+            wide = _resize(f.coeffs, axis, m, h)
+            assert wide.shape[axis] == m
+            assert np.count_nonzero(wide) == np.count_nonzero(f.coeffs)
+            assert np.array_equal(_resize(wide, axis, grid.n, h), f.coeffs)
 
-    def test_block_slices_round_trip(self):
-        f = random_field(G3, 99)
-        big = np.zeros((32,) * 3, dtype=np.complex128)
-        for src, dst in block_slices(16, 32, 3):
-            big[dst] = f.coeffs[src]
-        back = np.zeros(G3.shape, dtype=np.complex128)
-        for src, dst in block_slices(16, 32, 3):
-            back[src] = big[dst]
-        assert np.array_equal(back, f.coeffs)
-        assert len(list(block_slices(16, 32, 3))) == 8
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_pruned_transforms_match_reference_bit_for_bit(self, grid, factor):
+        f = random_field(grid, 13)
+        m = factor * grid.n
+        samples = _samples(grid, f.coeffs, m)
+        assert np.array_equal(samples, reference_samples(grid, f.coeffs, m))
+        # generic samples carry modes beyond the band, which _band drops
+        rough = np.random.default_rng(14).standard_normal((m,) * grid.dim)
+        for data in (samples, rough):
+            assert np.array_equal(_band(grid, data), reference_band(grid, data))
 
 
 class TestFrequencySplit:
