@@ -44,7 +44,6 @@ from .fields import (
     MultiplierSpec,
     SpectralField,
     apply_multiplier,
-    cutoff_profile,
     fields_from_bytes,
     fields_to_bytes,
     frequency_split,

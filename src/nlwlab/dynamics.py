@@ -9,7 +9,8 @@ scheme is time-reversible and second order.
 Observation times are integer multiples of the step, and the step is adjusted
 downward when a requested sampling interval does not divide it evenly.
 Consecutive half-kicks between observations are fused into whole kicks (the
-kick leaves u untouched, so the fusion is exact).
+kick leaves u untouched, so the fusion is exact).  `evolve` is the one
+integrator; `strang_step` is a single step of it.
 """
 
 from __future__ import annotations
@@ -155,13 +156,21 @@ def nonlinear_kick(state: WaveState, duration: float, cfg: StepperConfig) -> Wav
 
 def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
     """One reversible step kick(dt/2) o linear(dt) o kick(dt/2)."""
-    h = cfg.dt
-    out = nonlinear_kick(state, 0.5 * h, cfg)
-    out = propagate_linear(out, h)
-    out = nonlinear_kick(out, 0.5 * h, cfg)
-    if not np.isfinite(out.u.coeffs).all() or not np.isfinite(out.v.coeffs).all():
-        raise BlowUpError(out.t)
-    return out
+    return evolve(state, cfg.dt, cfg, keep_states=False).final
+
+
+def _sample_times(t0: float, horizon: float, interval: float) -> np.ndarray:
+    """t0 + k * interval for k = 0 .. horizon / interval, which must be a
+    positive integer."""
+    if not horizon > 0.0:
+        raise FieldError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < interval <= horizon + 1e-12 * horizon:
+        raise FieldError(f"sampling interval {interval} outside (0, horizon]")
+    n_samples = int(round(horizon / interval))
+    if abs(n_samples * interval - horizon) > 1e-9 * horizon:
+        raise FieldError(
+            f"horizon {horizon} is not an integer number of sampling intervals {interval}")
+    return t0 + interval * np.arange(n_samples + 1)
 
 
 def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
@@ -175,15 +184,9 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     at most MAX_STEPS steps.  Non-finite values abort with BlowUpError and the
     offending time stamp.
     """
-    if not horizon > 0.0:
-        raise FieldError(f"horizon must be positive, got {horizon}")
     interval = cfg.dt if sample_interval is None else sample_interval
-    if not 0.0 < interval <= horizon + 1e-12 * horizon:
-        raise FieldError(f"sampling interval {interval} outside (0, horizon]")
-    n_samples = int(round(horizon / interval))
-    if abs(n_samples * interval - horizon) > 1e-9 * horizon:
-        raise FieldError(
-            f"horizon {horizon} is not an integer number of sampling intervals {interval}")
+    times = _sample_times(state.t, horizon, interval)
+    n_samples = times.size - 1
     steps_per = max(1, math.ceil(interval / cfg.dt - 1e-12))
     if n_samples * steps_per > MAX_STEPS:
         raise FieldError(f"{n_samples * steps_per} steps exceed the cap of {MAX_STEPS}")
@@ -194,9 +197,6 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     cos, sinc, ksin = _rotation(grid, h)
     u = state.u.coeffs.copy()
     v = state.v.coeffs.copy()
-    t0 = state.t
-
-    times = t0 + interval * np.arange(n_samples + 1)
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
@@ -222,14 +222,15 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
 
 def linear_trajectory(state: WaveState, horizon: float, sample_interval: float) -> Trajectory:
-    """Sampled free-wave orbit via the exact propagator (no stepping error)."""
-    n_samples = int(round(horizon / sample_interval))
-    if abs(n_samples * sample_interval - horizon) > 1e-9 * horizon:
-        raise FieldError("horizon is not an integer number of sampling intervals")
-    times = state.t + sample_interval * np.arange(n_samples + 1)
+    """Sampled free-wave orbit via the exact propagator (no stepping error).
+
+    The horizon must be a positive integer number of sampling intervals, as
+    in evolve.
+    """
+    times = _sample_times(state.t, horizon, sample_interval)
     states = [state]
-    for i in range(1, n_samples + 1):
-        states.append(propagate_linear(state, float(times[i]) - state.t))
+    for t in times[1:]:
+        states.append(propagate_linear(state, float(t) - state.t))
     return Trajectory(times=times, states=states, final=states[-1])
 
 

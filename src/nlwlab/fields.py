@@ -294,11 +294,6 @@ def smoothing_multiplier(cutoff: float, s: float) -> MultiplierSpec:
     return MultiplierSpec(kind="smoothing", cutoff=cutoff, s=s)
 
 
-def cutoff_profile(cutoff: float, s: float) -> MultiplierSpec:
-    """The raw radial profile of smoothing_multiplier, exposed for symbol scans."""
-    return smoothing_multiplier(cutoff, s)
-
-
 def low_pass(cutoff: float) -> MultiplierSpec:
     """Sharp indicator of |k| <= cutoff."""
     return MultiplierSpec(kind="low_pass", cutoff=cutoff)

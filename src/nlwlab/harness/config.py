@@ -16,9 +16,9 @@ import hashlib
 import math
 
 from ..dynamics import MAX_STEPS
+from .records import SCHEMAS
 
-EXPERIMENTS = ("acl", "lemma-a", "lemma-b", "growth", "scaling", "continuity",
-               "strichartz")
+EXPERIMENTS = tuple(SCHEMAS)
 
 
 class ConfigError(ValueError):

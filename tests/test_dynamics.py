@@ -255,6 +255,22 @@ class TestStrangStep:
         cfg = StepperConfig(dt=0.125, p=4.0)
         assert strang_step(w, cfg).t == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("grid, cutoff", [(G1, 10.0), (G3, 0.45)],
+                             ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_matches_kick_rotate_kick_bit_for_bit(self, grid, cutoff, oversample):
+        # reference: the step as its own composition of the public pieces
+        w = make_state(34, grid=grid, cutoff=cutoff)
+        w = WaveState(u=w.u, v=w.v, t=0.375)
+        cfg = StepperConfig(dt=1.0 / 16, p=4.0, oversample=oversample)
+        ref = nonlinear_kick(w, 0.5 * cfg.dt, cfg)
+        ref = propagate_linear(ref, cfg.dt)
+        ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
+        out = strang_step(w, cfg)
+        assert np.array_equal(out.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(out.v.coeffs, ref.v.coeffs)
+        assert out.t == ref.t
+
     def test_blow_up_reported_with_time(self):
         c = np.zeros(G3.shape, dtype=np.complex128)
         c[1, 0, 0] = c[-1, 0, 0] = 0.5e80
@@ -365,6 +381,11 @@ class TestLinearTrajectory:
         e = [0.5 * (sobolev_norm(s.u, 1.0) ** 2 + sobolev_norm(s.v, 0.0) ** 2)
              for s in traj.states]
         assert max(e) - min(e) < 1e-12 * e[0]
+
+    @pytest.mark.parametrize("interval", [0.0, -0.0625])
+    def test_rejects_non_positive_interval(self, interval):
+        with pytest.raises(FieldError, match="outside"):
+            linear_trajectory(make_state(53), 1.0, interval)
 
 
 class TestConservation:

@@ -2,7 +2,9 @@
 
 Every numeric CSV column of each experiment's records, run with the `SHRUNK`
 overrides of the release gate, is compared against `golden_values.json` at
-relative tolerance 1e-9.  Byte identity (test 10) only pins a result against
+relative tolerance 1e-9.  The summary's assertions (name, sense, value,
+threshold, passed) and every leaf of its `fits` are compared against
+`golden_summaries.json` the same way.  Byte identity (test 10) only pins a result against
 a re-run of the same code; this file pins it across code changes, so a
 faster kernel that changes the physics fails here even when every loose
 acceptance gate still passes.
@@ -10,13 +12,17 @@ acceptance gate still passes.
 Columns that measure a roundoff-level quantity (a gap that is zero in exact
 arithmetic, such as the dyadic rescaling gaps) carry no physics in their
 digits; they are compared against an absolute floor instead, listed in
-`ROUNDOFF_FLOOR`.
+`ROUNDOFF_FLOOR`.  The summary values built from them get the floors in
+`SUMMARY_FLOOR`: the largest gaps keep the 1e-12 floor, and the
+correspondence factor divides that gap by a calibration error of about 1e-4,
+so its floor is 1e-12 / 1e-5.
 
 Regenerate only when the physics is meant to change, and say so:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import functools
 import json
 import math
 import sys
@@ -30,23 +36,79 @@ from nlwlab.harness.experiments import run_experiment
 from test_acceptance import SHRUNK
 
 GOLDEN = Path(__file__).with_name("golden_values.json")
+GOLDEN_SUMMARIES = Path(__file__).with_name("golden_summaries.json")
 RTOL = 1e-9
 # experiment -> column -> absolute floor for roundoff-level measurements
 ROUNDOFF_FLOOR = {
     "scaling": {"crit_gap_rel": 1e-12, "hs_gap_rel": 1e-12,
                 "correspondence": 1e-12},
 }
+# experiment -> assertion name or top-level fit key -> absolute floor
+SUMMARY_FLOOR = {
+    "scaling": {"critical_norm_invariance": 1e-12,
+                "order_s_norm_scaling": 1e-12,
+                "trajectory_correspondence": 1e-7,
+                "worst_correspondence_factor": 1e-7},
+}
 _TEXT_COLUMNS = ("experiment", "config_hash", "phase")
 
 
+@functools.lru_cache(maxsize=None)
+def _shrunk_run(name: str):
+    """Run one shrunk experiment serially, once per process."""
+    return run_experiment(name, build_config(name, overrides=SHRUNK[name]),
+                          workers=1)
+
+
 def numeric_columns(name: str) -> dict:
-    """Run one shrunk experiment serially; return its numeric columns."""
-    result = run_experiment(name, build_config(name, overrides=SHRUNK[name]),
-                            workers=1)
+    """Numeric CSV columns of one shrunk experiment."""
+    result = _shrunk_run(name)
     columns = [c for c in result.records[0] if c not in _TEXT_COLUMNS]
     # a blank cell (a column that does not apply to the row) is kept as None
     return {c: [None if row[c] == "" else float(row[c])
                 for row in result.records] for c in columns}
+
+
+def summary_values(name: str) -> dict:
+    """The pinned part of one shrunk experiment's summary."""
+    summary = _shrunk_run(name).summary
+    return {"assertions": summary["assertions"], "fits": summary["fits"]}
+
+
+def _leaves(obj, path=()):
+    """(path, value) for every leaf; an assertion is keyed by its name."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaves(val, path + (key,))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            key = val["name"] if isinstance(val, dict) and "name" in val else i
+            yield from _leaves(val, path + (key,))
+    else:
+        yield path, obj
+
+
+def _summary_mismatches(name: str, got: dict, want: dict) -> list:
+    order = [[a["name"] for a in d["assertions"]] for d in (got, want)]
+    if order[0] != order[1]:
+        return [f"assertions {order[0]} != golden {order[1]}"]
+    got_leaves, want_leaves = dict(_leaves(got)), dict(_leaves(want))
+    if set(got_leaves) != set(want_leaves):
+        odd = set(got_leaves) ^ set(want_leaves)
+        return [f"leaves differ: {sorted(map(str, odd))}"]
+    floors = SUMMARY_FLOOR.get(name, {})
+    out = []
+    for path, b in want_leaves.items():
+        a = got_leaves[path]
+        if isinstance(b, bool) or not isinstance(b, (int, float)):
+            same = a == b
+        else:
+            floor = max((floors.get(k, 0.0) for k in path[:2]), default=0.0)
+            same = (isinstance(a, (int, float)) and not isinstance(a, bool)
+                    and (a == b or abs(a - b) <= max(RTOL * abs(b), floor)))
+        if not same:
+            out.append(f"{'/'.join(map(str, path))}: {a!r} vs golden {b!r}")
+    return out
 
 
 def _mismatches(name: str, got: dict, want: dict) -> list:
@@ -75,14 +137,50 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_golden_covers_every_experiment(golden):
+@pytest.fixture(scope="module")
+def golden_summaries():
+    return json.loads(GOLDEN_SUMMARIES.read_text())
+
+
+def test_golden_covers_every_experiment(golden, golden_summaries):
     assert sorted(golden) == sorted(SHRUNK)
+    assert sorted(golden_summaries) == sorted(SHRUNK)
 
 
 @pytest.mark.parametrize("name", sorted(SHRUNK))
 def test_numeric_columns_match_golden(name, golden):
     bad = _mismatches(name, numeric_columns(name), golden[name])
     assert not bad, f"{name}: " + "; ".join(bad[:5])
+
+
+@pytest.mark.parametrize("name", sorted(SHRUNK))
+def test_summary_matches_golden(name, golden_summaries):
+    bad = _summary_mismatches(name, summary_values(name), golden_summaries[name])
+    assert not bad, f"{name}: " + "; ".join(bad[:5])
+
+
+def test_summary_mismatch_detects_a_change():
+    want = {"assertions": [{"name": "a", "value": 2.0, "threshold": 1.0,
+                            "sense": "<=", "passed": False}],
+            "fits": {"per_seed": [[0, 1.0]]}}
+
+    def changed(path, value):
+        got = json.loads(json.dumps(want))
+        *head, last = path
+        node = got
+        for key in head:
+            node = node[key]
+        node[last] = value
+        return _summary_mismatches("acl", got, want)
+
+    assert changed(("fits", "per_seed", 0, 1), 1.0 + 0.5e-9) == []
+    assert changed(("fits", "per_seed", 0, 1), 1.0 + 2e-9)
+    assert changed(("fits", "per_seed", 0, 0), 1)
+    assert changed(("assertions", 0, "passed"), True)
+    assert changed(("assertions", 0, "sense"), ">=")
+    assert changed(("assertions", 0, "name"), "b")
+    assert changed(("assertions", 0, "value"), math.nan)
+    assert changed(("fits", "extra"), 1.0)
 
 
 def test_mismatch_detects_a_relative_change():
@@ -97,6 +195,8 @@ def test_mismatch_detects_a_relative_change():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    values = {name: numeric_columns(name) for name in sorted(SHRUNK)}
-    GOLDEN.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, build in ((GOLDEN, numeric_columns),
+                        (GOLDEN_SUMMARIES, summary_values)):
+        values = {name: build(name) for name in sorted(SHRUNK)}
+        path.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")

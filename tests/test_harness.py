@@ -262,6 +262,10 @@ class TestWorkerCount:
 
 
 class TestRunExperiment:
+    def test_experiments_named_in_one_place(self):
+        assert tuple(DEFAULTS) == EXPERIMENTS == tuple(SCHEMAS)
+        assert tuple(experiments._TABLE) == EXPERIMENTS
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             run_experiment("bogus", {})
@@ -353,6 +357,12 @@ class TestCli:
         assert main(["continuity", "--seeds", "0,1", "--workers", "1",
                      "--override", "continuity.t_star=inf"]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0", "-0.0625"])
+    def test_non_positive_linear_interval_is_config_error(self, interval, capsys):
+        assert main(["strichartz", "--seeds", "0,1", "--workers", "1",
+                     "--override", f"strichartz.sample_interval={interval}"]) == 2
+        assert "outside (0, horizon]" in capsys.readouterr().err
 
     def test_infinite_data_size_is_config_error(self, capsys):
         assert main(["continuity", "--seeds", "0,1", "--workers", "1",
