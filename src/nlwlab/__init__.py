@@ -44,26 +44,19 @@ from .fields import (
     MultiplierSpec,
     SpectralField,
     apply_multiplier,
-    fields_from_bytes,
-    fields_to_bytes,
     frequency_split,
     from_coeffs,
     from_physical,
     hermitian_symmetrize,
-    high_pass,
     lebesgue_norm,
     low_pass,
     power_multiplier,
-    read_fields,
-    shell_spectrum,
     single_mode,
     smoothing_multiplier,
     smoothing_profile,
     sobolev_norm,
     to_physical,
     wavenumber_of_index,
-    write_fields,
-    write_spectrum_csv,
     zero_field,
 )
 from .params import (
@@ -79,7 +72,6 @@ from .params import (
     data_size,
     growth_exponents,
     is_allowed_triple,
-    local_existence_time,
     reference_triples,
     regularity_threshold,
     scale_choice,

@@ -23,26 +23,19 @@ Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
 above coincides with the grid L2 norm at sigma = 0.  Lebesgue norms are
 uniform-grid quadrature of |u|^r.
-
-Binary snapshots: little-endian header (dim:int64, n:int64, L:float64,
-t:float64) followed by one interleaved re/im float64 payload per field in
-row-major wavenumber order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-_HEADER_BYTES = 32
-
 
 class FieldError(ValueError):
-    """Raised on grid mismatches, invalid multipliers, or malformed snapshots."""
+    """Raised on grid mismatches or invalid multipliers."""
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,6 @@ class MultiplierSpec:
             return smoothing_profile(kmag / self.cutoff, self.s)
         if self.kind == "low_pass":
             return (kmag <= self.cutoff).astype(np.float64)
-        if self.kind == "high_pass":
-            return (kmag > self.cutoff).astype(np.float64)
         raise FieldError(f"unknown multiplier kind {self.kind!r}")
 
 
@@ -297,11 +288,6 @@ def smoothing_multiplier(cutoff: float, s: float) -> MultiplierSpec:
 def low_pass(cutoff: float) -> MultiplierSpec:
     """Sharp indicator of |k| <= cutoff."""
     return MultiplierSpec(kind="low_pass", cutoff=cutoff)
-
-
-def high_pass(cutoff: float) -> MultiplierSpec:
-    """Sharp indicator of |k| > cutoff."""
-    return MultiplierSpec(kind="high_pass", cutoff=cutoff)
 
 
 def apply_multiplier(field: SpectralField, spec) -> SpectralField:
@@ -430,91 +416,3 @@ def frequency_split(field: SpectralField, cutoff: float) -> tuple[SpectralField,
     high = np.where(mask, 0.0, field.coeffs)
     return _make(field.grid, low), _make(field.grid, high)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def fields_to_bytes(fields, t: float = 0.0) -> bytes:
-    """Snapshot one or more same-grid fields: 32-byte header plus payloads.
-
-    Header is little-endian (dim:int64, n:int64, L:float64, t:float64); each
-    payload is the coefficient array as interleaved re/im float64 pairs in
-    row-major order.
-    """
-    fields = tuple(fields)
-    if not fields:
-        raise FieldError("nothing to serialize")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        _same_grid(fields[0], f)
-    header = (np.array([grid.dim, grid.n], dtype="<i8").tobytes()
-              + np.array([grid.L, t], dtype="<f8").tobytes())
-    payloads = b"".join(np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
-                        for f in fields)
-    return header + payloads
-
-
-def fields_from_bytes(buf: bytes) -> tuple[Grid, float, list[SpectralField]]:
-    """Inverse of fields_to_bytes; the field count is inferred from the length."""
-    if len(buf) < _HEADER_BYTES:
-        raise FieldError("snapshot shorter than its header")
-    dim, n = (int(x) for x in np.frombuffer(buf[:16], dtype="<i8"))
-    L, t = (float(x) for x in np.frombuffer(buf[16:32], dtype="<f8"))
-    grid = Grid(n=n, L=L, dim=dim)
-    payload = buf[_HEADER_BYTES:]
-    per_field = grid.num_points * 16
-    if per_field == 0 or len(payload) % per_field != 0:
-        raise FieldError("snapshot payload does not match the header geometry")
-    count = len(payload) // per_field
-    out = []
-    for i in range(count):
-        raw = np.frombuffer(payload[i * per_field:(i + 1) * per_field], dtype="<c16")
-        out.append(from_coeffs(grid, raw.astype(np.complex128).reshape(grid.shape)))
-    return grid, t, out
-
-
-def write_fields(path, fields, t: float = 0.0) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(fields_to_bytes(fields, t))
-    except OSError as exc:
-        raise FieldError(f"cannot write snapshot {path}: {exc}") from exc
-
-
-def read_fields(path) -> tuple[Grid, float, list[SpectralField]]:
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise FieldError(f"cannot read snapshot {path}: {exc}") from exc
-    return fields_from_bytes(buf)
-
-
-def shell_spectrum(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Radial shell energies: shells of width one grid wavenumber.
-
-    Returns (shell centers |k|, shell energies); the energies sum to the
-    squared L2 norm of the field.
-    """
-    kmag = _kmag(field.grid)
-    dk = field.grid.k_spacing
-    idx = np.rint(kmag / dk).astype(np.int64).ravel()
-    c = field.coeffs
-    power = (c.real * c.real + c.imag * c.imag).ravel()
-    energies = np.bincount(idx, weights=power) * field.grid.L ** field.grid.dim
-    centers = np.arange(energies.size) * dk
-    return centers, energies
-
-
-def write_spectrum_csv(field: SpectralField, path) -> None:
-    """CSV of the radial shell spectrum with columns k_shell, energy."""
-    centers, energies = shell_spectrum(field)
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k_shell", "energy"])
-            for k, e in zip(centers, energies):
-                writer.writerow([repr(float(k)), repr(float(e))])
-    except OSError as exc:
-        raise FieldError(f"cannot write spectrum {path}: {exc}") from exc

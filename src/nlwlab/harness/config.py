@@ -4,16 +4,18 @@ Config files are plain text, one `key = value` per line, `#` comments allowed.
 There is no nesting: structure lives in the key (grid.n, acl.cutoffs).  Every
 knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
-Lists are comma-separated; float values must be finite, and a stepped run may
-not ask for more than MAX_STEPS steps.  The resolved configuration is hashed
-(sha256 of the canonical key=value listing) and the hash is stamped into every
-output so records from different configurations can never be silently mixed.
+Lists are comma-separated, floats must be finite, and `build_config` checks
+every per-experiment rule of `CONSTRAINTS`, so a bad config fails before any
+cell runs.  The resolved configuration is hashed (sha256 of the canonical
+key=value listing) and the hash is stamped into every output so records from
+different configurations can never be silently mixed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from itertools import pairwise
 
 from ..dynamics import MAX_STEPS
 from .records import SCHEMAS
@@ -116,17 +118,6 @@ DEFAULTS: dict[str, dict] = {
 # Integer-valued list keys (everything else comma-separated parses as floats).
 _INT_TUPLE_KEYS = {"seeds"}
 
-# (horizon, sample interval) keys of each experiment's stepped run; a list
-# horizon means its largest entry.
-_STEPPED_RUN = {
-    "acl": ("acl.horizon", "acl.sample_interval"),
-    "lemma-b": ("bracket.horizon", "bracket.sample_interval"),
-    "growth": ("growth.checkpoints", "growth.sample_interval"),
-    "scaling": ("scaling.horizon", "scaling.sample_interval"),
-    "continuity": ("continuity.t_star", "continuity.t_star"),
-    "strichartz": ("zbound.tau", "zbound.sample_interval"),
-}
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse `key = value` lines into a raw string mapping."""
@@ -190,19 +181,56 @@ def _require_finite(key: str, value) -> None:
         raise ConfigError(f"{key} must be finite, got {canonical_value(value)!r}")
 
 
-def _check_step_count(experiment: str, values: dict) -> None:
-    """Reject a stepped run that asks for more than MAX_STEPS steps."""
-    if experiment not in _STEPPED_RUN:
-        return
-    horizon_key, interval_key = _STEPPED_RUN[experiment]
-    horizon = values[horizon_key]
-    if isinstance(horizon, tuple):
-        horizon = max(horizon, default=0.0)
-    step = min(values["stepper.dt"], values[interval_key])
-    if horizon > 0.0 and step > 0.0 and horizon / step > MAX_STEPS:
-        raise ConfigError(
-            f"{horizon_key}={horizon!r} with step {step!r} asks for about "
-            f"{horizon / step:.3g} steps, above the cap of {MAX_STEPS}")
+def _at_least(key: str, count: int) -> tuple:
+    return f"{key} needs {count} or more values", lambda v: len(v[key]) >= count
+
+
+def _step_cap(horizon_key: str, interval_key: str) -> tuple:
+    """At most MAX_STEPS steps of min(dt, interval); a list horizon is its max."""
+    def holds(v: dict) -> bool:
+        horizon = v[horizon_key]
+        horizon = max(horizon) if isinstance(horizon, tuple) else horizon
+        step = min(v["stepper.dt"], v[interval_key])
+        return step <= 0.0 or horizon <= MAX_STEPS * step
+    return (f"{horizon_key} over min(stepper.dt, {interval_key}) asks for "
+            f"more steps than the cap of {MAX_STEPS}", holds)
+
+
+def _on_sample_grid(v: dict) -> bool:
+    ts, h = v["growth.checkpoints"], v["growth.sample_interval"]
+    return h > 0.0 and all(a < b for a, b in pairwise(ts)) and all(
+        abs(round(t / h) * h - t) <= 1e-9 * t for t in ts)
+
+
+_TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
+              lambda v: len(seed_list(v)) >= 2)
+
+# experiment -> (message, predicate) rows over the resolved values, checked in
+# order by build_config; a row may rely on the rows before it.
+CONSTRAINTS: dict[str, tuple] = {
+    "acl": (_at_least("acl.cutoffs", 3),
+            _step_cap("acl.horizon", "acl.sample_interval")),
+    "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
+    "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS,
+                _step_cap("bracket.horizon", "bracket.sample_interval")),
+    "growth": (
+        _at_least("growth.checkpoints", 2),
+        ("growth.checkpoints must be strictly increasing multiples of a "
+         "positive growth.sample_interval", _on_sample_grid),
+        _step_cap("growth.checkpoints", "growth.sample_interval")),
+    "scaling": (
+        _at_least("scaling.lambdas", 1),
+        # the residual reads the fourth sample of the base run
+        ("scaling.horizon must be at least 3 x scaling.sample_interval", lambda v:
+         v["scaling.horizon"] * (1.0 + 1e-9) >= 3.0 * v["scaling.sample_interval"]),
+        _step_cap("scaling.horizon", "scaling.sample_interval")),
+    "continuity": (
+        _at_least("continuity.eps", 3),
+        ("continuity.eps must be strictly decreasing",
+         lambda v: all(a > b for a, b in pairwise(v["continuity.eps"]))),
+        _step_cap("continuity.t_star", "continuity.t_star")),
+    "strichartz": (_TWO_SEEDS, _step_cap("zbound.tau", "zbound.sample_interval")),
+}
 
 
 def build_config(experiment: str, file_text: str | None = None,
@@ -223,7 +251,10 @@ def build_config(experiment: str, file_text: str | None = None,
                 raise ConfigError(f"unknown config key {key!r} for {experiment}")
             values[key] = _coerce(key, raw, DEFAULTS[experiment][key])
             _require_finite(key, values[key])
-    _check_step_count(experiment, values)
+    seed_list(values)
+    for message, holds in CONSTRAINTS[experiment]:
+        if not holds(values):
+            raise ConfigError(message)
     return values
 
 

@@ -4,14 +4,14 @@ A cell, `cell(values, seed)`, builds its grid, stepper, recipe and PDE
 parameters from the resolved config and returns one tuple per CSV row, in
 `records.SCHEMAS` order after the (experiment, config_hash, seed) prefix.
 Cells depend only on their arguments, so serial and parallel runs emit
-byte-identical records.  A judge, `judge(values, seeds, measure)`, checks its
-config keys, calls `measure()` to run the cells over the sorted seeds, and
-returns the summary's assertions and fits.  Judges share `_held_out`, the
-calibrate/hold-out protocol (a constant fitted on the first half of the sorted
-seeds bounds the second half with headroom), `_trend`, which adds that the
-held-out envelope has no cutoff trend, and `_slopes`, monotonicity and the
-median log-log slope.  The growth envelope is an upper bound in time, so its
-split runs along each seed's checkpoints instead.
+byte-identical records.  A judge, `judge(values, measured)`, takes every
+cell's rows as {seed: rows} in sorted seed order, from a config that
+`build_config` has checked, and returns the summary's assertions and fits.
+Judges share `_held_out`, the calibrate/hold-out protocol (a constant fitted
+on the first half of the sorted seeds bounds the second half with headroom),
+`_trend`, which adds that the held-out envelope has no cutoff trend, and
+`_slopes`, monotonicity and the median log-log slope.  The growth envelope,
+an upper bound in time, splits along each seed's checkpoints instead.
 """
 
 from __future__ import annotations
@@ -102,15 +102,9 @@ def _recipe(values: dict, seed: int) -> DataRecipe:
                       window=values["recipe.window"])
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _split_half(items, label: str = "seeds") -> tuple[tuple, tuple]:
+def _split_half(items) -> tuple[tuple, tuple]:
     """Calibration half and held-out half of an ordered list."""
     half = len(items) // 2
-    _require(half >= 1, f"calibrate/hold-out protocol needs at least 2 {label}")
     return tuple(items[:half]), tuple(items[half:])
 
 
@@ -158,11 +152,10 @@ def _acl_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_acl(values: dict, seeds: tuple, measure):
-    cutoffs = values["acl.cutoffs"]
-    _require(len(cutoffs) > 0, "acl.cutoffs must be non-empty")
-    drifts = {s: [row[1] for row in rows] for s, rows in measure().items()}
-    monotone, fits = _slopes("drift_monotone_violations", cutoffs, drifts)
+def _judge_acl(values: dict, measured: dict):
+    drifts = {s: [row[1] for row in rows] for s, rows in measured.items()}
+    monotone, fits = _slopes("drift_monotone_violations", values["acl.cutoffs"],
+                             drifts)
     return [_assertion("median_drift_slope", fits["median_slope"],
                        values["acl.slope_max"], "<="), monotone], fits
 
@@ -179,11 +172,9 @@ def _lemma_a_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_lemma_a(values: dict, seeds: tuple, measure):
+def _judge_lemma_a(values: dict, measured: dict):
     cutoffs = values["bounds.cutoffs"]
-    _require(len(cutoffs) > 0, "bounds.cutoffs must be non-empty")
-    split = _split_half(seeds)
-    measured = measure()
+    split = _split_half(tuple(measured))
     assertions, fits = [], {}
     names = ("gradient", "velocity", "potential", "energy")
     for idx, name in enumerate(names, start=1):
@@ -209,12 +200,10 @@ def _lemma_b_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_lemma_b(values: dict, seeds: tuple, measure):
-    cutoffs = values["bracket.cutoffs"]
-    _require(len(cutoffs) > 0, "bracket.cutoffs must be non-empty")
-    split = _split_half(seeds)
-    column = {s: [abs(row[5]) for row in rows] for s, rows in measure().items()}
-    return _trend("bracket_ratio", cutoffs, column, split,
+def _judge_lemma_b(values: dict, measured: dict):
+    column = {s: [abs(row[5]) for row in rows] for s, rows in measured.items()}
+    return _trend("bracket_ratio", values["bracket.cutoffs"], column,
+                  _split_half(tuple(measured)),
                   values["bracket.headroom"], values["bracket.trend_max"])
 
 
@@ -247,23 +236,14 @@ def _growth_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_growth(values: dict, seeds: tuple, measure):
-    checkpoints = values["growth.checkpoints"]
-    interval = values["growth.sample_interval"]
-    _require(all(b > a for a, b in zip(checkpoints, checkpoints[1:])),
-             "growth.checkpoints must be strictly increasing")
-    _require(all(abs(round(t / interval) * interval - t) <= 1e-9 * t
-                 for t in checkpoints),
-             "growth.checkpoints must be multiples of the sample interval")
-    cal_idx, held_idx = _split_half(range(len(checkpoints)),
-                                    "growth.checkpoints")
+def _judge_growth(values: dict, measured: dict):
+    cal_idx, held_idx = _split_half(range(len(values["growth.checkpoints"])))
 
     def margin(ratios: list) -> float:
         # later checkpoints against the constant fitted on the early ones
         return _ratio(max(ratios[i] for i in held_idx),
                       max(ratios[i] for i in cal_idx))
 
-    measured = measure()
     ratios = {s: [row[3] for row in rows] for s, rows in measured.items()}
     crit = {s: [row[4] for row in rows] for s, rows in measured.items()}
     params = _pde(values)
@@ -320,13 +300,11 @@ def _scaling_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_scaling(values: dict, seeds: tuple, measure):
-    _require(len(values["scaling.lambdas"]) > 0,
-             "scaling.lambdas must be non-empty")
+def _judge_scaling(values: dict, measured: dict):
     decay = -(1.5 - _pde(values).s_crit + 0.5)
     worst_crit = worst_hs = worst_corr = 0.0
     band_lo, band_hi = math.inf, 0.0
-    for rows in measure().values():
+    for rows in measured.values():
         for lam, crit_gap, hs_gap, corr, err_cal, res_b, res_r in rows:
             worst_crit = max(worst_crit, crit_gap)
             worst_hs = max(worst_hs, hs_gap)
@@ -370,13 +348,10 @@ def _continuity_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_continuity(values: dict, seeds: tuple, measure):
-    eps = values["continuity.eps"]
-    _require(len(eps) >= 3, "continuity.eps needs at least 3 values")
-    _require(all(b < a for a, b in zip(eps, eps[1:])),
-             "continuity.eps must be strictly decreasing")
-    distances = {s: [row[1] for row in rows] for s, rows in measure().items()}
-    monotone, fits = _slopes("distance_monotone_violations", eps, distances)
+def _judge_continuity(values: dict, measured: dict):
+    distances = {s: [row[1] for row in rows] for s, rows in measured.items()}
+    monotone, fits = _slopes("distance_monotone_violations",
+                             values["continuity.eps"], distances)
     return [monotone, _assertion("median_distance_slope", fits["median_slope"],
                                  values["continuity.slope_min"], ">=")], fits
 
@@ -432,10 +407,9 @@ def _strichartz_cell(values: dict, seed: int) -> list:
     return out
 
 
-def _judge_strichartz(values: dict, seeds: tuple, measure):
-    split = _split_half(seeds)
+def _judge_strichartz(values: dict, measured: dict):
+    split = _split_half(tuple(measured))
     headroom = values["strichartz.headroom"]
-    measured = measure()
     assertions, fits = [], {}
     for j in range(len(reference_triples(_pde(values)))):
         ratios = {s: [rows[j][6]] for s, rows in measured.items()}
@@ -475,15 +449,10 @@ def run_experiment(experiment: str, values: dict,
     cell, judge = _TABLE[experiment]
     seeds = seed_list(values)
     ordered = tuple(sorted(seeds))
-    rows = []
-
-    def measure() -> dict:
-        results = _run_cells(functools.partial(cell, values), ordered, workers)
-        rows.extend(dict(zip(SCHEMAS[experiment], (experiment, digest, seed) + tup))
-                    for seed, tuples in zip(ordered, results) for tup in tuples)
-        return dict(zip(ordered, results))
-
-    assertions, fits = judge(values, ordered, measure)
+    results = _run_cells(functools.partial(cell, values), ordered, workers)
+    rows = [dict(zip(SCHEMAS[experiment], (experiment, digest, seed) + tup))
+            for seed, tuples in zip(ordered, results) for tup in tuples]
+    assertions, fits = judge(values, dict(zip(ordered, results)))
     passed = all(a["passed"] for a in assertions)
     summary = {
         "experiment": experiment,

@@ -171,19 +171,6 @@ def cutoff_choice(c_u: float, horizon: float, params: PdeParams,
     return prefactor * max(c_u ** e1 * horizon ** e2, floor)
 
 
-def local_existence_time(data_norm: float, params: PdeParams,
-                         prefactor: float = 1.0) -> float:
-    """Local solvability time prefactor / data_norm^(1/(s-s_c)).
-
-    Zero data norm means no obstruction; returns math.inf.
-    """
-    if data_norm < 0.0:
-        raise ParamError("data norm must be nonnegative")
-    if data_norm == 0.0:
-        return INF
-    return prefactor / data_norm ** (1.0 / (params.s - params.s_crit))
-
-
 @dataclass(frozen=True)
 class TripleMQR:
     """Space-time norm triple: derivative weight m, time exponent q, space exponent r.

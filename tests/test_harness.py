@@ -5,13 +5,17 @@ here the runs are shrunk by overrides so the orchestration contract (hashing,
 byte-identical records, worker independence, exit codes) stays fast to check.
 """
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from nlwlab.harness import experiments
 from nlwlab.harness.cli import main
 from nlwlab.harness.config import (
+    CONSTRAINTS,
     DEFAULTS,
     EXPERIMENTS,
     ConfigError,
@@ -35,8 +39,44 @@ from nlwlab.harness.records import (
     write_summary,
 )
 
+from test_acceptance import SHRUNK
+
 TINY_CONTINUITY = ("continuity.eps=0.1,0.01,0.001", "continuity.t_star=0.25",
                    "seeds=0,1")
+
+# (experiment, index of its CONSTRAINTS row, one override that breaks only
+# that row); every row has at least one case
+VIOLATIONS = [
+    ("acl", 0, "acl.cutoffs=2,4"),
+    ("acl", 1, "acl.horizon=1e6"),
+    ("lemma-a", 0, "bounds.cutoffs=2,4"),
+    ("lemma-a", 1, "ensemble.count=1"),
+    ("lemma-b", 0, "bracket.cutoffs=4,8"),
+    ("lemma-b", 1, "seeds=0"),
+    ("lemma-b", 2, "bracket.horizon=1e5"),
+    ("growth", 0, "growth.checkpoints=1"),
+    ("growth", 1, "growth.checkpoints=2,1"),
+    ("growth", 1, "growth.checkpoints=1,1.1"),
+    ("growth", 1, "growth.sample_interval=0"),
+    ("growth", 2, "growth.checkpoints=1,2e5"),
+    ("scaling", 0, "scaling.lambdas="),
+    ("scaling", 1, "scaling.horizon=0.5"),
+    ("scaling", 2, "scaling.horizon=1e5"),
+    ("continuity", 0, "continuity.eps=0.1,0.01"),
+    ("continuity", 1, "continuity.eps=0.01,0.1,0.001"),
+    ("continuity", 2, "continuity.t_star=1e5"),
+    ("strichartz", 0, "seeds=0"),
+    ("strichartz", 1, "zbound.tau=1e5"),
+]
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # the dataclass looks its module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 class TestConfigParsing:
@@ -78,11 +118,11 @@ class TestBuildConfig:
     def test_coercion_types(self):
         values = build_config("acl", overrides=[
             "grid.n=64", "grid.L=16.0", "recipe.window=false",
-            "acl.cutoffs=2,4", "seeds=3,5,8"])
+            "acl.cutoffs=2,4,8", "seeds=3,5,8"])
         assert values["grid.n"] == 64 and isinstance(values["grid.n"], int)
         assert values["grid.L"] == 16.0
         assert values["recipe.window"] is False
-        assert values["acl.cutoffs"] == (2.0, 4.0)
+        assert values["acl.cutoffs"] == (2.0, 4.0, 8.0)
         assert values["seeds"] == (3, 5, 8)
 
     def test_bool_spellings(self):
@@ -116,6 +156,21 @@ class TestBuildConfig:
             build_config("growth", overrides=["growth.checkpoints=1,2e6",
                                               "growth.sample_interval=1"])
         build_config("growth", overrides=["growth.checkpoints=1,2"])
+
+    def test_shipped_configs_pass(self):
+        for name in EXPERIMENTS:
+            build_config(name)
+            build_config(name, overrides=SHRUNK[name])
+        for workload in _bench_workloads().values():
+            for tiny in (False, True):
+                for warmup in (False, True):
+                    workload.config(0, tiny=tiny, warmup=warmup)
+
+    def test_every_constraint_row_has_a_violation(self):
+        rows = {(name, i) for name, table in CONSTRAINTS.items()
+                for i in range(len(table))}
+        assert {(name, i) for name, i, _ in VIOLATIONS} == rows
+        assert tuple(CONSTRAINTS) == EXPERIMENTS
 
     def test_empty_tuple_value(self):
         values = build_config("lemma-a", overrides=["seeds="])
@@ -376,6 +431,16 @@ class TestCli:
         assert main(["continuity", "--seeds", "0,1", "--workers", "1",
                      "--override", "stepper.dt=1e-300"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,row,override", VIOLATIONS)
+    def test_constraint_is_config_error_before_any_run(self, name, row, override,
+                                                       monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run must not start")
+        monkeypatch.setattr("nlwlab.harness.cli.run_experiment", refuse)
+        assert main([name, "--workers", "1", "--override", override]) == 2
+        message = CONSTRAINTS[name][row][0]
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
         def crash(*args, **kwargs):

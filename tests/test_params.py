@@ -22,7 +22,6 @@ from nlwlab.params import (
     data_size,
     growth_exponents,
     is_allowed_triple,
-    local_existence_time,
     reference_triples,
     regularity_threshold,
     scale_choice,
@@ -212,23 +211,6 @@ class TestCutoffChoice:
     def test_raises_below_threshold(self):
         with pytest.raises(ThresholdError):
             cutoff_choice(1.0, 1.0, PdeParams(p=4.0, s=0.9))
-
-
-class TestLocalExistenceTime:
-    def test_unit(self):
-        assert local_existence_time(1.0, P4) == pytest.approx(1.0)
-
-    def test_doubling_with_tenth_gap(self):
-        params = PdeParams(p=4.0, s=5.0 / 6.0 + 0.1)
-        ratio = local_existence_time(1.0, params) / local_existence_time(2.0, params)
-        assert ratio == pytest.approx(1024.0, rel=1e-9)
-
-    def test_zero_norm_unbounded(self):
-        assert local_existence_time(0.0, P4) == INF
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParamError):
-            local_existence_time(-1.0, P4)
 
 
 class TestAllowedTriples:
