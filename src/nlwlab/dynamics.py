@@ -29,6 +29,7 @@ from .fields import (
     _make,
     _band,
     _samples,
+    _workspace,
     power_multiplier,
     apply_multiplier,
     sobolev_norm,
@@ -106,25 +107,25 @@ def state_difference(a: WaveState, b: WaveState) -> WaveState:
 
 @lru_cache(maxsize=32)
 def _rotation(grid: Grid, duration: float):
-    """cos(|k| t), sin(|k| t)/|k| (t at k=0), |k| sin(|k| t) on the grid."""
+    """cos(|k| t), sin(|k| t)/|k| (t at k=0), -|k| sin(|k| t) on the grid."""
     kmag = _kmag(grid)
     phase = kmag * duration
     cos = np.cos(phase)
     sin = np.sin(phase)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(kmag > 0.0, sin / np.where(kmag > 0.0, kmag, 1.0), duration)
-    ksin = kmag * sin
-    for arr in (cos, sinc, ksin):
+    neg_ksin = -(kmag * sin)
+    for arr in (cos, sinc, neg_ksin):
         arr.flags.writeable = False
-    return cos, sinc, ksin
+    return cos, sinc, neg_ksin
 
 
 def propagate_linear(state: WaveState, duration: float) -> WaveState:
     """Exact free-wave propagation: per-mode rotation at angular speed |k|."""
-    cos, sinc, ksin = _rotation(state.grid, duration)
+    cos, sinc, neg_ksin = _rotation(state.grid, duration)
     uc, vc = state.u.coeffs, state.v.coeffs
     new_u = cos * uc + sinc * vc
-    new_v = -ksin * uc + cos * vc
+    new_v = neg_ksin * uc + cos * vc
     return WaveState(u=_make(state.grid, new_u), v=_make(state.grid, new_v),
                      t=state.t + duration)
 
@@ -134,12 +135,17 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 # ---------------------------------------------------------------------------
 
 def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
-    """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back."""
-    u_phys = _samples(grid, ucoef, oversample * grid.n)
-    w = np.abs(u_phys)
+    """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back.
+
+    Runs in the cached (grid, m) workspace; only the returned array is new.
+    """
+    m = oversample * grid.n
+    ws = _workspace(grid, m)
+    u_phys = _samples(grid, ucoef, m, ws)
+    w = np.abs(u_phys, out=ws.work)
     np.power(w, p - 1.0, out=w)
-    w *= u_phys
-    return _band(grid, w)
+    u_phys *= w
+    return _band(grid, u_phys, ws)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
@@ -194,9 +200,11 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
     grid = state.grid
     p, ov = cfg.p, cfg.oversample
-    cos, sinc, ksin = _rotation(grid, h)
+    cos, sinc, neg_ksin = _rotation(grid, h)
     u = state.u.coeffs.copy()
     v = state.v.coeffs.copy()
+    u_next = np.empty_like(u)
+    v_next = np.empty_like(v)
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
@@ -210,11 +218,21 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
     current = snapshot(0)
     for i in range(1, n_samples + 1):
-        v -= (0.5 * h) * _nonlinear_raw(grid, u, p, ov)
-        for j in range(steps_per):
-            u, v = cos * u + sinc * v, -ksin * u + cos * v
-            tau = h if j < steps_per - 1 else 0.5 * h
-            v -= tau * _nonlinear_raw(grid, u, p, ov)
+        for j in range(steps_per + 1):
+            if j:
+                # u, v <- cos u + sinc v, -ksin u + cos v with no temporaries:
+                # each buffer is overwritten once its old value is read
+                np.multiply(sinc, v, out=v_next)
+                np.multiply(cos, u, out=u_next)
+                u_next += v_next
+                np.multiply(neg_ksin, u, out=v_next)
+                np.multiply(cos, v, out=u)
+                v_next += u
+                u, u_next = u_next, u
+                v, v_next = v_next, v
+            g = _nonlinear_raw(grid, u, p, ov)
+            g *= h if 0 < j < steps_per else 0.5 * h
+            v -= g
         if not np.isfinite(u).all() or not np.isfinite(v).all():
             raise BlowUpError(float(times[i]))
         current = snapshot(i)

@@ -185,15 +185,30 @@ def _at_least(key: str, count: int) -> tuple:
     return f"{key} needs {count} or more values", lambda v: len(v[key]) >= count
 
 
-def _step_cap(horizon_key: str, interval_key: str) -> tuple:
-    """At most MAX_STEPS steps of min(dt, interval); a list horizon is its max."""
+def _step_cap(horizon_key: str, interval_key: str, divisor: int = 1) -> tuple:
+    """At most MAX_STEPS steps of min(dt / divisor, interval); a list horizon
+    is its max.  A divisor counts a run at a fraction of the step."""
+    dt_key = "stepper.dt" if divisor == 1 else f"stepper.dt / {divisor}"
+
     def holds(v: dict) -> bool:
         horizon = v[horizon_key]
         horizon = max(horizon) if isinstance(horizon, tuple) else horizon
-        step = min(v["stepper.dt"], v[interval_key])
+        step = min(v["stepper.dt"] / divisor, v[interval_key])
         return step <= 0.0 or horizon <= MAX_STEPS * step
-    return (f"{horizon_key} over min(stepper.dt, {interval_key}) asks for "
+    return (f"{horizon_key} over min({dt_key}, {interval_key}) asks for "
             f"more steps than the cap of {MAX_STEPS}", holds)
+
+
+def _whole_intervals(horizon_key: str, interval_key: str) -> tuple:
+    """The horizon is a positive whole number of sample intervals, as evolve
+    and linear_trajectory demand; they also reject a non-positive interval."""
+    def holds(v: dict) -> bool:
+        horizon, interval = v[horizon_key], v[interval_key]
+        if interval <= 0.0:
+            return True
+        count = round(horizon / interval)
+        return count >= 1 and abs(count * interval - horizon) <= 1e-9 * horizon
+    return f"{horizon_key} must be a whole number of {interval_key}", holds
 
 
 def _on_sample_grid(v: dict) -> bool:
@@ -209,10 +224,12 @@ _TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
 # order by build_config; a row may rely on the rows before it.
 CONSTRAINTS: dict[str, tuple] = {
     "acl": (_at_least("acl.cutoffs", 3),
-            _step_cap("acl.horizon", "acl.sample_interval")),
+            _step_cap("acl.horizon", "acl.sample_interval"),
+            _whole_intervals("acl.horizon", "acl.sample_interval")),
     "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
     "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS,
-                _step_cap("bracket.horizon", "bracket.sample_interval")),
+                _step_cap("bracket.horizon", "bracket.sample_interval"),
+                _whole_intervals("bracket.horizon", "bracket.sample_interval")),
     "growth": (
         _at_least("growth.checkpoints", 2),
         ("growth.checkpoints must be strictly increasing multiples of a "
@@ -223,13 +240,17 @@ CONSTRAINTS: dict[str, tuple] = {
         # the residual reads the fourth sample of the base run
         ("scaling.horizon must be at least 3 x scaling.sample_interval", lambda v:
          v["scaling.horizon"] * (1.0 + 1e-9) >= 3.0 * v["scaling.sample_interval"]),
-        _step_cap("scaling.horizon", "scaling.sample_interval")),
+        # the calibration run takes steps of stepper.dt / 2
+        _step_cap("scaling.horizon", "scaling.sample_interval", divisor=2),
+        _whole_intervals("scaling.horizon", "scaling.sample_interval")),
     "continuity": (
         _at_least("continuity.eps", 3),
         ("continuity.eps must be strictly decreasing",
          lambda v: all(a > b for a, b in pairwise(v["continuity.eps"]))),
         _step_cap("continuity.t_star", "continuity.t_star")),
-    "strichartz": (_TWO_SEEDS, _step_cap("zbound.tau", "zbound.sample_interval")),
+    "strichartz": (_TWO_SEEDS, _step_cap("zbound.tau", "zbound.sample_interval"),
+                   _whole_intervals("strichartz.horizon", "strichartz.sample_interval"),
+                   _whole_intervals("zbound.tau", "zbound.sample_interval")),
 }
 
 

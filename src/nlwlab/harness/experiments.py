@@ -286,9 +286,10 @@ def _scaling_cell(values: dict, seed: int) -> list:
         crit_gap = abs(pair_sobolev_norm(scaled0, params.s_crit) - crit0) / crit0
         predicted = lam ** (params.s_crit - params.s) * norm_s0
         hs_gap = abs(pair_sobolev_norm(scaled0, params.s) - predicted) / predicted
-        scaled = evolve(scaled0, horizon * lam,
-                        replace(stepper, dt=stepper.dt * lam),
-                        sample_interval=interval * lam)
+        # rescale by 1 is the identity bit for bit, so that run is the base run
+        scaled = base if lam == 1.0 else evolve(
+            scaled0, horizon * lam, replace(stepper, dt=stepper.dt * lam),
+            sample_interval=interval * lam)
         correspondence = max(
             pair_sobolev_norm(
                 state_difference(rescale(base.states[i], lam, params),

@@ -5,6 +5,7 @@ band sums have closed-form growth rates; seeded checks cover the random path.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestRescale:
         assert np.array_equal(r.u.coeffs, w.u.coeffs)
         assert np.array_equal(r.v.coeffs, w.v.coeffs)
         assert r.u.grid == w.u.grid and r.t == w.t
+
+    def test_unit_factor_run_is_the_base_run(self):
+        # the scaling experiment reuses its base run for the lambda = 1 rung
+        w = synthesize(RECIPE, G3)
+        cfg = StepperConfig(dt=1.0 / 16, p=4.0)
+        lam = 1.0
+        base = evolve(w, 0.5, cfg, sample_interval=0.25)
+        scaled = evolve(rescale(w, lam, P4), 0.5 * lam, replace(cfg, dt=cfg.dt * lam),
+                        sample_interval=0.25 * lam)
+        assert np.array_equal(scaled.times, base.times)
+        for a, b in zip(scaled.states, base.states, strict=True):
+            assert np.array_equal(a.u.coeffs, b.u.coeffs)
+            assert np.array_equal(a.v.coeffs, b.v.coeffs)
 
     def test_critical_norm_invariant(self):
         w = synthesize(RECIPE, G3)

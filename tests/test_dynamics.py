@@ -32,6 +32,7 @@ from nlwlab.fields import (
     _reverse_indices,
     apply_multiplier,
     from_coeffs,
+    lebesgue_norm,
     low_pass,
     power_multiplier,
     single_mode,
@@ -206,7 +207,7 @@ class TestRealTransformKick:
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
-    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    @pytest.mark.parametrize("oversample", [1, 2, 3, 4])
     @pytest.mark.parametrize("p", [4.0, 4.3])
     def test_matches_unpruned_formula_bit_for_bit(self, grid, oversample, p):
         u = band_field(grid, 33, cutoff=grid.nyquist, amp=2.0)
@@ -223,6 +224,41 @@ class TestRealTransformKick:
         assert g[(0,) * grid.dim] == 0.0
         for axis in range(grid.dim):
             assert not np.any(np.take(g, grid.n // 2, axis=axis))
+
+
+class TestWorkspaceIsolation:
+    """The kick and lebesgue_norm reuse one workspace per (grid, m); nothing
+    they return may alias it or change when it is reused."""
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_successive_kicks_stay_fresh(self, grid):
+        u1 = band_field(grid, 34, cutoff=grid.nyquist, amp=2.0)
+        u2 = band_field(grid, 35, cutoff=grid.nyquist, amp=1.0)
+        first = nonlinear_term(u1, 4.0, 2).coeffs
+        kept = first.copy()
+        second = nonlinear_term(u2, 4.0, 2).coeffs
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(nonlinear_term(u1, 4.0, 2).coeffs, kept)
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_lebesgue_norm_after_kick(self, grid):
+        u1 = band_field(grid, 36, cutoff=grid.nyquist, amp=2.0)
+        u2 = band_field(grid, 37, cutoff=grid.nyquist, amp=1.0)
+        before = lebesgue_norm(u2, 5.0, 2)
+        g = nonlinear_term(u1, 4.0, 2).coeffs
+        kept = g.copy()
+        assert lebesgue_norm(u2, 5.0, 2) == before
+        assert np.array_equal(g, kept)
+
+    def test_kept_states_survive_later_runs(self):
+        cfg = StepperConfig(dt=0.125, p=4.0)
+        traj = evolve(make_state(38, amp=2.0), 0.5, cfg, sample_interval=0.25)
+        kept = [(s.u.coeffs.copy(), s.v.coeffs.copy()) for s in traj.states]
+        evolve(make_state(39, amp=1.0), 0.5, cfg, sample_interval=0.25)
+        nonlinear_term(traj.final.u, 4.0, 2)
+        for s, (u, v) in zip(traj.states, kept):
+            assert np.array_equal(s.u.coeffs, u) and np.array_equal(s.v.coeffs, v)
 
 
 class TestStrangStep:

@@ -340,6 +340,17 @@ class TestLebesgueNorm:
         with pytest.raises(FieldError):
             lebesgue_norm(f, math.inf)
 
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [5.0, 5.3])
+    def test_workspace_matches_unpruned_formula_bit_for_bit(self, grid, factor, r):
+        f = random_field(grid, 15, decay=1.0)
+        w = np.abs(reference_samples(grid, f.coeffs, factor * grid.n))
+        np.power(w, r, out=w)
+        expected = float(grid.L ** grid.dim / w.size * np.sum(w)) ** (1.0 / r)
+        assert lebesgue_norm(f, r, factor) == expected
+        assert lebesgue_norm(f, r, factor) == expected  # the reused workspace
+
 
 class TestOversampledValues:
     def test_factor_one_is_plain_transform(self):
@@ -352,6 +363,18 @@ class TestOversampledValues:
         x = np.arange(4 * G1.n) * (G1.L / (4 * G1.n))
         expected = 2.0 * np.cos(3.0 * x)
         assert np.max(np.abs(fine - expected)) < 1e-12
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_successive_results_stay_fresh(self, grid):
+        f, g = random_field(grid, 16), random_field(grid, 17)
+        for transform in (to_physical, lambda x: oversampled_values(x, 2)):
+            first = transform(f)
+            kept = first.copy()
+            lebesgue_norm(g, 5.0, 2)  # runs in the (grid, 2n) workspace
+            second = transform(g)
+            assert np.array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(second, transform(g))
 
     def test_rejects_silly_factor(self):
         with pytest.raises(FieldError):

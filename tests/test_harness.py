@@ -49,11 +49,13 @@ TINY_CONTINUITY = ("continuity.eps=0.1,0.01,0.001", "continuity.t_star=0.25",
 VIOLATIONS = [
     ("acl", 0, "acl.cutoffs=2,4"),
     ("acl", 1, "acl.horizon=1e6"),
+    ("acl", 2, "acl.horizon=1.1"),
     ("lemma-a", 0, "bounds.cutoffs=2,4"),
     ("lemma-a", 1, "ensemble.count=1"),
     ("lemma-b", 0, "bracket.cutoffs=4,8"),
     ("lemma-b", 1, "seeds=0"),
     ("lemma-b", 2, "bracket.horizon=1e5"),
+    ("lemma-b", 3, "bracket.horizon=0.3"),
     ("growth", 0, "growth.checkpoints=1"),
     ("growth", 1, "growth.checkpoints=2,1"),
     ("growth", 1, "growth.checkpoints=1,1.1"),
@@ -62,11 +64,16 @@ VIOLATIONS = [
     ("scaling", 0, "scaling.lambdas="),
     ("scaling", 1, "scaling.horizon=0.5"),
     ("scaling", 2, "scaling.horizon=1e5"),
+    # the base run fits under the cap, its half-step calibration run does not
+    ("scaling", 2, "scaling.horizon=10000"),
+    ("scaling", 3, "scaling.horizon=0.8"),
     ("continuity", 0, "continuity.eps=0.1,0.01"),
     ("continuity", 1, "continuity.eps=0.01,0.1,0.001"),
     ("continuity", 2, "continuity.t_star=1e5"),
     ("strichartz", 0, "seeds=0"),
     ("strichartz", 1, "zbound.tau=1e5"),
+    ("strichartz", 2, "strichartz.horizon=1.03125"),
+    ("strichartz", 3, "zbound.tau=0.1"),
 ]
 
 
