@@ -7,10 +7,20 @@ to the resolved band.  One step is kick(dt/2) o linear(dt) o kick(dt/2); the
 scheme is time-reversible and second order.
 
 Observation times are integer multiples of the step, and the step is adjusted
-downward when a requested sampling interval does not divide it evenly.
-Consecutive half-kicks between observations are fused into whole kicks (the
-kick leaves u untouched, so the fusion is exact).  `evolve` is the one
-integrator; `strang_step` is a single step of it.
+downward when a requested sampling interval does not divide it evenly
+(`step_plan`).  Consecutive half-kicks between observations are fused into
+whole kicks (the kick leaves u untouched, so the fusion is exact).  At an
+observation the closing half-kick of one interval and the opening half-kick
+of the next act at the same u, so `evolve` evaluates the nonlinearity there
+once and subtracts the same scaled kick twice: a run of N intervals of S
+steps evaluates N S + 1 kicks.  `evolve` is the one integrator;
+`strang_step` is a single step of it.
+
+Between observations `evolve` carries only the k_z < n/2 half of u and v
+(see `fields`): the rotation symbols are even in k and the kick returns the
+half of an exactly Hermitian field, so the dropped half is always the
+conjugate reflection of the kept one.  Each kept state is completed to the
+full layout.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from .fields import (
     FieldError,
     _kmag,
     _make,
-    _band,
+    _complete,
+    _half_band,
     _samples,
     _workspace,
     power_multiplier,
@@ -85,11 +96,19 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit: times, optionally the sampled states, and the final state."""
+    """Sampled orbit: times, optionally the sampled states, and the final state.
+
+    A stepped orbit also reports what the solver did: the effective step h
+    (see `step_plan`), the number of steps and the number of kick
+    evaluations.  The exact free-wave orbit takes none (h is None).
+    """
 
     times: np.ndarray
     states: list[WaveState] | None
     final: WaveState
+    h: float | None = None
+    steps: int = 0
+    kicks: int = 0
 
 
 def pair_sobolev_norm(state: WaveState, sigma: float) -> float:
@@ -120,6 +139,16 @@ def _rotation(grid: Grid, duration: float):
     return cos, sinc, neg_ksin
 
 
+@lru_cache(maxsize=32)
+def _half_rotation(grid: Grid, duration: float):
+    """The k_z < n/2 halves of `_rotation`'s symbols, contiguous."""
+    halves = tuple(np.ascontiguousarray(a[..., :grid.n // 2])
+                   for a in _rotation(grid, duration))
+    for arr in halves:
+        arr.flags.writeable = False
+    return halves
+
+
 def propagate_linear(state: WaveState, duration: float) -> WaveState:
     """Exact free-wave propagation: per-mode rotation at angular speed |k|."""
     cos, sinc, neg_ksin = _rotation(state.grid, duration)
@@ -137,7 +166,9 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back.
 
-    Runs in the cached (grid, m) workspace; only the returned array is new.
+    Takes the full or the k_z < n/2 half coefficients of u and returns the
+    half of the result (`fields._half_band`).  Runs in the cached (grid, m)
+    workspace; only the returned array is new.
     """
     m = oversample * grid.n
     ws = _workspace(grid, m)
@@ -145,17 +176,18 @@ def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> 
     w = np.abs(u_phys, out=ws.work)
     np.power(w, p - 1.0, out=w)
     u_phys *= w
-    return _band(grid, u_phys, ws)
+    return _half_band(grid, u_phys, ws)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
     """Projection of |u|^(p-1) u onto the resolved (mean-free) band."""
-    return _make(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample))
+    return _make(u.grid, _complete(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample)))
 
 
 def nonlinear_kick(state: WaveState, duration: float, cfg: StepperConfig) -> WaveState:
     """Momentum kick v <- v - duration * |u|^(p-1) u; u and t unchanged."""
-    g = _nonlinear_raw(state.grid, state.u.coeffs, cfg.p, cfg.oversample)
+    g = _complete(state.grid, _nonlinear_raw(state.grid, state.u.coeffs, cfg.p,
+                                             cfg.oversample))
     return WaveState(u=state.u, v=_make(state.grid, state.v.coeffs - duration * g),
                      t=state.t)
 
@@ -165,18 +197,30 @@ def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
     return evolve(state, cfg.dt, cfg, keep_states=False).final
 
 
-def _sample_times(t0: float, horizon: float, interval: float) -> np.ndarray:
-    """t0 + k * interval for k = 0 .. horizon / interval, which must be a
-    positive integer."""
+def _interval_count(horizon: float, interval: float) -> int:
+    """horizon / interval, which must be a positive integer."""
     if not horizon > 0.0:
         raise FieldError(f"horizon must be positive, got {horizon}")
     if not 0.0 < interval <= horizon + 1e-12 * horizon:
         raise FieldError(f"sampling interval {interval} outside (0, horizon]")
-    n_samples = int(round(horizon / interval))
-    if abs(n_samples * interval - horizon) > 1e-9 * horizon:
+    count = int(round(horizon / interval))
+    if abs(count * interval - horizon) > 1e-9 * horizon:
         raise FieldError(
             f"horizon {horizon} is not an integer number of sampling intervals {interval}")
-    return t0 + interval * np.arange(n_samples + 1)
+    return count
+
+
+def step_plan(horizon: float, interval: float, dt: float) -> tuple[int, int, float]:
+    """(samples, steps per sample interval, step h) of an `evolve` run.
+
+    The horizon must be a positive integer number of sampling intervals.  h is
+    dt, or the largest value below it that divides the interval evenly.  More
+    than MAX_STEPS steps per interval count as MAX_STEPS + 1, so a tiny dt
+    cannot overflow the count.
+    """
+    samples = _interval_count(horizon, interval)
+    steps_per = max(1, math.ceil(min(interval / dt, MAX_STEPS + 1.0) - 1e-12))
+    return samples, steps_per, interval / steps_per
 
 
 def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
@@ -191,25 +235,24 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     offending time stamp.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
-    times = _sample_times(state.t, horizon, interval)
-    n_samples = times.size - 1
-    steps_per = max(1, math.ceil(interval / cfg.dt - 1e-12))
+    n_samples, steps_per, h = step_plan(horizon, interval, cfg.dt)
     if n_samples * steps_per > MAX_STEPS:
-        raise FieldError(f"{n_samples * steps_per} steps exceed the cap of {MAX_STEPS}")
-    h = interval / steps_per
+        raise FieldError(f"{n_samples} intervals of {interval} at step {cfg.dt} "
+                         f"exceed the cap of {MAX_STEPS} steps")
+    times = state.t + interval * np.arange(n_samples + 1)
 
     grid = state.grid
     p, ov = cfg.p, cfg.oversample
-    cos, sinc, neg_ksin = _rotation(grid, h)
-    u = state.u.coeffs.copy()
-    v = state.v.coeffs.copy()
+    cos, sinc, neg_ksin = _half_rotation(grid, h)
+    u = state.u.coeffs[..., :grid.n // 2].copy()
+    v = state.v.coeffs[..., :grid.n // 2].copy()
     u_next = np.empty_like(u)
     v_next = np.empty_like(v)
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
-        snap = WaveState(u=_make(grid, u.copy()), v=_make(grid, v.copy()),
-                         t=float(times[i]))
+        snap = WaveState(u=_make(grid, _complete(grid, u)),
+                         v=_make(grid, _complete(grid, v)), t=float(times[i]))
         if states is not None:
             states.append(snap)
         if observer is not None:
@@ -217,26 +260,31 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
         return snap
 
     current = snapshot(0)
+    g = _nonlinear_raw(grid, u, p, ov)
+    g *= 0.5 * h
+    kicks = 1
     for i in range(1, n_samples + 1):
-        for j in range(steps_per + 1):
-            if j:
-                # u, v <- cos u + sinc v, -ksin u + cos v with no temporaries:
-                # each buffer is overwritten once its old value is read
-                np.multiply(sinc, v, out=v_next)
-                np.multiply(cos, u, out=u_next)
-                u_next += v_next
-                np.multiply(neg_ksin, u, out=v_next)
-                np.multiply(cos, v, out=u)
-                v_next += u
-                u, u_next = u_next, u
-                v, v_next = v_next, v
+        v -= g  # the opening half-kick, at the u of the last observation
+        for j in range(1, steps_per + 1):
+            # u, v <- cos u + sinc v, -ksin u + cos v with no temporaries:
+            # each buffer is overwritten once its old value is read
+            np.multiply(sinc, v, out=v_next)
+            np.multiply(cos, u, out=u_next)
+            u_next += v_next
+            np.multiply(neg_ksin, u, out=v_next)
+            np.multiply(cos, v, out=u)
+            v_next += u
+            u, u_next = u_next, u
+            v, v_next = v_next, v
             g = _nonlinear_raw(grid, u, p, ov)
-            g *= h if 0 < j < steps_per else 0.5 * h
+            kicks += 1
+            g *= h if j < steps_per else 0.5 * h
             v -= g
         if not np.isfinite(u).all() or not np.isfinite(v).all():
             raise BlowUpError(float(times[i]))
         current = snapshot(i)
-    return Trajectory(times=times, states=states, final=current)
+    return Trajectory(times=times, states=states, final=current, h=h,
+                      steps=n_samples * steps_per, kicks=kicks)
 
 
 def linear_trajectory(state: WaveState, horizon: float, sample_interval: float) -> Trajectory:
@@ -245,7 +293,8 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float) 
     The horizon must be a positive integer number of sampling intervals, as
     in evolve.
     """
-    times = _sample_times(state.t, horizon, sample_interval)
+    count = _interval_count(horizon, sample_interval)
+    times = state.t + sample_interval * np.arange(count + 1)
     states = [state]
     for t in times[1:]:
         states.append(propagate_linear(state, float(t) - state.t))
@@ -272,7 +321,7 @@ def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
         raise FieldError(f"residual requires equispaced times, got {dt1} and {dt2}")
     acc = (nxt.u.coeffs - 2.0 * mid.u.coeffs + prev.u.coeffs) / (dt1 * dt2)
     lap = apply_multiplier(mid.u, power_multiplier(2.0)).coeffs
-    g = _nonlinear_raw(mid.grid, mid.u.coeffs, p, oversample)
+    g = _complete(mid.grid, _nonlinear_raw(mid.grid, mid.u.coeffs, p, oversample))
     res = _make(mid.grid, acc + lap + g)
     return sobolev_norm(res, 0.0)
 

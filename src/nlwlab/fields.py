@@ -11,21 +11,25 @@ integer vectors.  Three conventions hold for every field in the package:
 * coefficient arrays are frozen (writeable=False); operations return new fields.
 
 Transforms act on real data, so they run real-to-complex from the half
-spectrum (k_z >= 0, the last axis).  Coefficients stay stored in the full
-layout; `_samples` and `_band` are the only places that move between the two.
-They run numpy's per-axis irfftn/rfftn steps in numpy's axis order, pruned to
-skip the columns that are all zero padding (or are truncated away), so their
-results are bit for bit those of the unpruned transforms.  `_band` rebuilds
-the k_z < 0 half by Hermitian reflection, so every transform result is
-exactly Hermitian.
+spectrum (k_z < n/2 on the last axis; the k_z = n/2 Nyquist plane is zero).
+`_samples` reads only that half, so it takes a full or a half array.
+`_half_band` returns that half: its k_z = 0 plane, which the dropped k_z < 0
+half shares, is replaced by its Hermitian part, and the mean and the Nyquist
+planes are zeroed.  `_complete` rebuilds the full fftn layout from such a
+half by Hermitian reflection, and `_band` is the two in turn.  Both
+transforms run numpy's per-axis irfftn/rfftn steps in numpy's axis order,
+pruned to skip the columns that are all zero padding (or are truncated
+away), so their results are bit for bit those of the unpruned transforms.
+Every field is exactly Hermitian, so its half holds all of it; the
+integrator (`dynamics.evolve`) carries only halves between observations.
 
-The nonlinear kick (`dynamics._nonlinear_raw`) and `lebesgue_norm` both pass
-a workspace: the buffers of `_workspace(grid, m)`, built once per process.
-Every intermediate step then writes into them through numpy's `out=`, so a
-kick allocates only the coefficient array it returns.  The same 1-D
-transforms run on the same columns either way, so the results are bit for
-bit equal.  `to_physical`, `from_physical` and `oversampled_values` run
-without one and return fresh arrays; no public function returns a
+The nonlinear kick (`dynamics._nonlinear_raw`, which returns the half) and
+`lebesgue_norm` both pass a workspace: the buffers of `_workspace(grid, m)`,
+built once per process.  Every intermediate step then writes into them
+through numpy's `out=`, so a kick allocates only the half it returns.  The
+same 1-D transforms run on the same columns either way, so the results are
+bit for bit equal.  `to_physical`, `from_physical` and `oversampled_values`
+run without one and return fresh arrays; no public function returns a
 workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
@@ -143,9 +147,14 @@ def _same_grid(a: SpectralField, b: SpectralField) -> None:
 
 
 def _clean(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero the mean mode and the unpaired Nyquist planes, in place."""
+    """Zero the mean mode and the unpaired Nyquist planes, in place.
+
+    A k_z < n/2 half holds no k_z Nyquist plane; its other planes are zeroed.
+    """
     half = grid.n // 2
     for axis in range(grid.dim):
+        if coeffs.shape[axis] <= half:
+            continue
         idx: list = [slice(None)] * grid.dim
         idx[axis] = half
         coeffs[tuple(idx)] = 0.0
@@ -357,10 +366,13 @@ def _resize(a: np.ndarray, axis: int, size: int, h: int,
 
 
 def _conj_mirror(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out <- conj(c at -k): per axis, index 0 stays and 1..n-1 run backwards."""
+    """out <- conj(c at -k) on the leading axes; the last axis maps straight across.
+
+    Per leading axis, index 0 stays and 1..n-1 run backwards.
+    """
     n = c.shape[0]
     pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1)))
-    for combo in itertools.product(pairs, repeat=c.ndim):
+    for combo in itertools.product(pairs, repeat=c.ndim - 1):
         np.conjugate(c[tuple(s for _, s in combo)], out=out[tuple(d for d, _ in combo)])
     return out
 
@@ -372,8 +384,8 @@ class _Workspace:
       transformed: m rows on the axes up to it, n after it, n/2 k_z;
     * `phys` holds the m-point samples;
     * `work` is real m-point scratch for the caller.  Its memory also holds
-      the rfft output `spec` and the k -> -k `mirror`, which `_band` writes
-      only once the caller is done with `work`.
+      the rfft output `spec` and the k -> -k `mirror` of the k_z = 0 plane,
+      which `_half_band` writes only once the caller is done with `work`.
 
     At m = 2n in 3-D this is 5.7 MB per n = 32 grid.
     """
@@ -384,9 +396,9 @@ class _Workspace:
                               dtype=np.complex128) for axis in range(dim - 1)]
         self.phys = np.empty((m,) * dim)
         spec_shape = (m,) * (dim - 1) + (m // 2 + 1,)
-        flat = np.empty(max(math.prod(spec_shape), n ** dim), dtype=np.complex128)
-        self.spec = flat[:math.prod(spec_shape)].reshape(spec_shape)
-        self.mirror = flat[:n ** dim].reshape(grid.shape)
+        flat = np.empty(math.prod(spec_shape), dtype=np.complex128)
+        self.spec = flat.reshape(spec_shape)
+        self.mirror = flat[:n ** (dim - 1)].reshape(grid.shape[:-1] + (1,))
         self.work = flat.view(np.float64)[:m ** dim].reshape(self.phys.shape)
 
 
@@ -415,21 +427,21 @@ def _samples(grid: Grid, coeffs: np.ndarray, m: int,
                         out=None if ws is None else ws.phys)
 
 
-def _band(grid: Grid, samples: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
-    """Resolved-band coefficients of real samples on any m-point grid (m >= n).
+def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Resolved k_z < n/2 half of the coefficients of real samples on any
+    m-point grid (m >= n).
 
     The steps and axis order of rfftn, pruned: each leading axis is truncated
     to n right after its own transform, so later axes transform only resolved
-    columns.  The k_z >= 0 half is then completed by Hermitian reflection, and
-    the k_z = 0 plane, which both halves share, is replaced by its Hermitian
-    part, so the result is exactly Hermitian and clean.  The result is always
-    a new array; a workspace holds every intermediate step.
+    columns.  The k_z = 0 plane, which the k_z < 0 half would share, is then
+    replaced by its Hermitian part, and the mean and the Nyquist planes are
+    zeroed, so `_complete` of the result is exactly Hermitian and clean.  The
+    result is always a new array; a workspace holds every intermediate step.
     """
     h = grid.n // 2
     a = np.fft.rfft(samples, axis=-1, norm="forward",
                     out=None if ws is None else ws.spec)[..., :h]
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    half = out[..., :h]
+    half = np.empty(grid.shape[:-1] + (h,), dtype=np.complex128)
     pads = [None] * (grid.dim - 1) if ws is None else ws.pads
     for axis in reversed(range(grid.dim - 1)):
         dst = pads[axis - 1] if axis else half
@@ -437,9 +449,26 @@ def _band(grid: Grid, samples: np.ndarray, ws: _Workspace | None = None) -> np.n
                     axis, grid.n, h, dst)
     if a is not half:  # dim 1, or m = n: nothing was truncated into it
         half[...] = a
-    out += _conj_mirror(out, np.empty_like(out) if ws is None else ws.mirror)
-    out[..., 0] *= 0.5
-    return _clean(grid, out)
+    plane = half[..., :1]
+    plane += _conj_mirror(plane, np.empty_like(plane) if ws is None else ws.mirror)
+    plane *= 0.5
+    return _clean(grid, half)
+
+
+def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full fftn layout, as a new array, of the Hermitian field whose k_z < n/2
+    half is given: k_z > n/2 is its conjugate reflection, k_z = n/2 is zero."""
+    h = grid.n // 2
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h] = 0.0
+    _conj_mirror(half[..., 1:], out[..., :h:-1])
+    return out
+
+
+def _band(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    """Resolved-band coefficients of real samples in the full layout."""
+    return _complete(grid, _half_band(grid, samples))
 
 
 def _oversampled_size(grid: Grid, factor: int) -> int:

@@ -17,7 +17,8 @@ import hashlib
 import math
 from itertools import pairwise
 
-from ..dynamics import MAX_STEPS
+from ..dynamics import MAX_STEPS, step_plan
+from ..fields import FieldError
 from .records import SCHEMAS
 
 EXPERIMENTS = tuple(SCHEMAS)
@@ -186,22 +187,31 @@ def _at_least(key: str, count: int) -> tuple:
 
 
 def _step_cap(horizon_key: str, interval_key: str, divisor: int = 1) -> tuple:
-    """At most MAX_STEPS steps of min(dt / divisor, interval); a list horizon
-    is its max.  A divisor counts a run at a fraction of the step."""
+    """At most MAX_STEPS steps in evolve's own plan (`step_plan`) at
+    stepper.dt / divisor; a list horizon is its max.  A divisor counts a run
+    at a fraction of the step.  A plan that step_plan rejects passes here: a
+    later row, StepperConfig or evolve names its fault."""
     dt_key = "stepper.dt" if divisor == 1 else f"stepper.dt / {divisor}"
 
     def holds(v: dict) -> bool:
         horizon = v[horizon_key]
         horizon = max(horizon) if isinstance(horizon, tuple) else horizon
-        step = min(v["stepper.dt"] / divisor, v[interval_key])
-        return step <= 0.0 or horizon <= MAX_STEPS * step
-    return (f"{horizon_key} over min({dt_key}, {interval_key}) asks for "
-            f"more steps than the cap of {MAX_STEPS}", holds)
+        dt = v["stepper.dt"] / divisor
+        if not dt > 0.0:
+            return True
+        try:
+            samples, steps_per, _ = step_plan(horizon, v[interval_key], dt)
+        except FieldError:
+            return True
+        return samples * steps_per <= MAX_STEPS
+    return (f"{horizon_key} in steps of {dt_key}, rounded down to divide "
+            f"{interval_key}, asks for more steps than the cap of {MAX_STEPS}", holds)
 
 
 def _whole_intervals(horizon_key: str, interval_key: str) -> tuple:
     """The horizon is a positive whole number of sample intervals, as evolve
-    and linear_trajectory demand; they also reject a non-positive interval."""
+    and linear_trajectory demand; `_positive_interval` rejects a non-positive
+    interval."""
     def holds(v: dict) -> bool:
         horizon, interval = v[horizon_key], v[interval_key]
         if interval <= 0.0:
@@ -209,6 +219,10 @@ def _whole_intervals(horizon_key: str, interval_key: str) -> tuple:
         count = round(horizon / interval)
         return count >= 1 and abs(count * interval - horizon) <= 1e-9 * horizon
     return f"{horizon_key} must be a whole number of {interval_key}", holds
+
+
+def _positive_interval(interval_key: str) -> tuple:
+    return f"{interval_key} outside (0, horizon]", lambda v: v[interval_key] > 0.0
 
 
 def _on_sample_grid(v: dict) -> bool:
@@ -225,11 +239,13 @@ _TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
 CONSTRAINTS: dict[str, tuple] = {
     "acl": (_at_least("acl.cutoffs", 3),
             _step_cap("acl.horizon", "acl.sample_interval"),
-            _whole_intervals("acl.horizon", "acl.sample_interval")),
+            _whole_intervals("acl.horizon", "acl.sample_interval"),
+            _positive_interval("acl.sample_interval")),
     "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
     "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS,
                 _step_cap("bracket.horizon", "bracket.sample_interval"),
-                _whole_intervals("bracket.horizon", "bracket.sample_interval")),
+                _whole_intervals("bracket.horizon", "bracket.sample_interval"),
+                _positive_interval("bracket.sample_interval")),
     "growth": (
         _at_least("growth.checkpoints", 2),
         ("growth.checkpoints must be strictly increasing multiples of a "
@@ -242,7 +258,8 @@ CONSTRAINTS: dict[str, tuple] = {
          v["scaling.horizon"] * (1.0 + 1e-9) >= 3.0 * v["scaling.sample_interval"]),
         # the calibration run takes steps of stepper.dt / 2
         _step_cap("scaling.horizon", "scaling.sample_interval", divisor=2),
-        _whole_intervals("scaling.horizon", "scaling.sample_interval")),
+        _whole_intervals("scaling.horizon", "scaling.sample_interval"),
+        _positive_interval("scaling.sample_interval")),
     "continuity": (
         _at_least("continuity.eps", 3),
         ("continuity.eps must be strictly decreasing",
@@ -250,7 +267,9 @@ CONSTRAINTS: dict[str, tuple] = {
         _step_cap("continuity.t_star", "continuity.t_star")),
     "strichartz": (_TWO_SEEDS, _step_cap("zbound.tau", "zbound.sample_interval"),
                    _whole_intervals("strichartz.horizon", "strichartz.sample_interval"),
-                   _whole_intervals("zbound.tau", "zbound.sample_interval")),
+                   _whole_intervals("zbound.tau", "zbound.sample_interval"),
+                   _positive_interval("strichartz.sample_interval"),
+                   _positive_interval("zbound.sample_interval")),
 }
 
 

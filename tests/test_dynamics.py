@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nlwlab.dynamics import (
+    MAX_STEPS,
     BlowUpError,
     StepperConfig,
     Trajectory,
@@ -23,9 +24,11 @@ from nlwlab.dynamics import (
     pde_residual,
     propagate_linear,
     state_difference,
+    step_plan,
     strang_step,
     true_energy,
 )
+import nlwlab.dynamics as dynamics
 from nlwlab.fields import (
     FieldError,
     Grid,
@@ -253,12 +256,29 @@ class TestWorkspaceIsolation:
 
     def test_kept_states_survive_later_runs(self):
         cfg = StepperConfig(dt=0.125, p=4.0)
-        traj = evolve(make_state(38, amp=2.0), 0.5, cfg, sample_interval=0.25)
-        kept = [(s.u.coeffs.copy(), s.v.coeffs.copy()) for s in traj.states]
-        evolve(make_state(39, amp=1.0), 0.5, cfg, sample_interval=0.25)
-        nonlinear_term(traj.final.u, 4.0, 2)
-        for s, (u, v) in zip(traj.states, kept):
-            assert np.array_equal(s.u.coeffs, u) and np.array_equal(s.v.coeffs, v)
+        for grid, cutoff in ((G1, 10.0), (G3, 0.45)):
+            traj = evolve(make_state(38, amp=2.0, grid=grid, cutoff=cutoff), 0.75, cfg,
+                          sample_interval=0.25)
+            kept = [(s.u.coeffs.copy(), s.v.coeffs.copy()) for s in traj.states]
+            arrays = [a for s in traj.states for a in (s.u.coeffs, s.v.coeffs)]
+            assert not any(np.shares_memory(a, b)
+                           for i, a in enumerate(arrays) for b in arrays[i + 1:])
+            evolve(make_state(39, amp=1.0, grid=grid, cutoff=cutoff), 0.75, cfg,
+                   sample_interval=0.25)
+            nonlinear_term(traj.final.u, 4.0, 2)
+            for s, (u, v) in zip(traj.states, kept):
+                assert np.array_equal(s.u.coeffs, u) and np.array_equal(s.v.coeffs, v)
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_kick_takes_full_or_half_and_returns_half(self, grid):
+        u = band_field(grid, 40, cutoff=grid.nyquist, amp=2.0).coeffs
+        h = grid.n // 2
+        from_full = dynamics._nonlinear_raw(grid, u, 4.0, 2)
+        from_half = dynamics._nonlinear_raw(grid, u[..., :h].copy(), 4.0, 2)
+        assert from_full.shape == grid.shape[:-1] + (h,)
+        assert np.array_equal(from_full, from_half)
+        assert np.array_equal(nonlinear_term(from_coeffs(grid, u), 4.0, 2).coeffs[..., :h],
+                              from_full)
 
 
 class TestStrangStep:
@@ -307,6 +327,44 @@ class TestStrangStep:
         assert np.array_equal(out.v.coeffs, ref.v.coeffs)
         assert out.t == ref.t
 
+    @pytest.mark.parametrize("grid, cutoff", [(G1, 10.0), (G3, 0.45)],
+                             ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_multi_interval_run_matches_separate_half_kicks_bit_for_bit(
+            self, grid, cutoff, oversample):
+        # evolve evaluates the kick at each interior observation once and
+        # carries half spectra; the reference kicks the full state twice there
+        w = make_state(35, grid=grid, cutoff=cutoff, amp=2.0)
+        w = WaveState(u=w.u, v=w.v, t=0.375)
+        cfg = StepperConfig(dt=1.0 / 16, p=4.3, oversample=oversample)
+        traj = evolve(w, 6.0 * cfg.dt, cfg, sample_interval=2.0 * cfg.dt)
+        ref, expected = w, [w]
+        for _ in range(3):
+            ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
+            ref = propagate_linear(ref, cfg.dt)
+            ref = nonlinear_kick(ref, cfg.dt, cfg)
+            ref = propagate_linear(ref, cfg.dt)
+            ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
+            expected.append(ref)
+        assert len(traj.states) == len(expected) == 4
+        for got, want in zip(traj.states, expected):
+            assert np.array_equal(got.u.coeffs, want.u.coeffs)
+            assert np.array_equal(got.v.coeffs, want.v.coeffs)
+            assert got.t == want.t
+
+    @pytest.mark.parametrize("grid, cutoff", [(G1, 10.0), (G3, 0.45)],
+                             ids=["dim1", "dim3"])
+    def test_kept_states_are_exactly_hermitian_and_clean(self, grid, cutoff):
+        w = make_state(36, grid=grid, cutoff=cutoff, amp=2.0)
+        traj = evolve(w, 0.75, StepperConfig(dt=0.125, p=4.3), sample_interval=0.25)
+        for state in traj.states:
+            for c in (state.u.coeffs, state.v.coeffs):
+                assert c.shape == grid.shape
+                assert np.array_equal(c, np.conj(_reverse_indices(c)))
+                assert c[(0,) * grid.dim] == 0.0
+                for axis in range(grid.dim):
+                    assert not np.any(np.take(c, grid.n // 2, axis=axis))
+
     def test_blow_up_reported_with_time(self):
         c = np.zeros(G3.shape, dtype=np.complex128)
         c[1, 0, 0] = c[-1, 0, 0] = 0.5e80
@@ -329,6 +387,38 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(0.625)
         assert len(traj.states) == 11
         assert traj.states[-1] is traj.final
+
+    def test_step_plan(self):
+        assert step_plan(1.0, 0.25, 0.1) == (4, 3, 0.25 / 3)
+        assert step_plan(0.5, 0.125, 0.125) == (4, 1, 0.125)
+        # a step above the interval is cut to it
+        assert step_plan(1.0, 0.25, 1.0) == (4, 1, 0.25)
+        # a tiny step counts as one past the cap instead of overflowing
+        assert step_plan(1.0, 1.0, 5e-324) == (1, MAX_STEPS + 1, 1.0 / (MAX_STEPS + 1))
+        with pytest.raises(FieldError, match="outside"):
+            step_plan(1.0, 0.0, 0.1)
+        with pytest.raises(FieldError, match="integer number"):
+            step_plan(1.0, 0.3, 0.1)
+
+    def test_reports_step_and_counts(self, monkeypatch):
+        calls = []
+        original = dynamics._nonlinear_raw
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(dynamics, "_nonlinear_raw", counted)
+        w = make_state(49)
+        cfg = StepperConfig(dt=0.2, p=4.0)
+        traj = evolve(w, 0.75, cfg, sample_interval=0.25, keep_states=False)
+        # 3 intervals of 2 steps; the 2 interior observations share a kick
+        assert (traj.h, traj.steps, traj.kicks) == (0.125, 6, 7)
+        assert len(calls) == 7
+        # strang_step's run: one step, a half-kick at each end
+        step = evolve(w, cfg.dt, cfg, keep_states=False)
+        assert (step.h, step.steps, step.kicks) == (cfg.dt, 1, 2)
+        assert np.array_equal(step.final.v.coeffs, strang_step(w, cfg).v.coeffs)
+        lin = linear_trajectory(w, 0.5, 0.25)
+        assert (lin.h, lin.steps, lin.kicks) == (None, 0, 0)
 
     def test_zero_data_stays_zero(self):
         w = WaveState(u=zero_field(G3), v=zero_field(G3))

@@ -14,6 +14,8 @@ from nlwlab.fields import (
     FieldError,
     Grid,
     _band,
+    _complete,
+    _half_band,
     _resize,
     _reverse_indices,
     _samples,
@@ -415,6 +417,22 @@ class TestOversampledValues:
         rough = np.random.default_rng(14).standard_normal((m,) * grid.dim)
         for data in (samples, rough):
             assert np.array_equal(_band(grid, data), reference_band(grid, data))
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_half_band_is_the_kept_half_of_band(self, grid, factor):
+        h = grid.n // 2
+        rough = np.random.default_rng(15).standard_normal((factor * grid.n,) * grid.dim)
+        half = _half_band(grid, rough)
+        assert half.shape == grid.shape[:-1] + (h,)
+        assert np.array_equal(half, reference_band(grid, rough)[..., :h])
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_complete_rebuilds_a_field_from_its_half(self, grid):
+        f = random_field(grid, 16)
+        full = _complete(grid, f.coeffs[..., :grid.n // 2])
+        assert np.array_equal(full, f.coeffs)
+        assert not np.shares_memory(full, f.coeffs)
 
 
 class TestFrequencySplit:

@@ -44,18 +44,23 @@ from test_acceptance import SHRUNK
 TINY_CONTINUITY = ("continuity.eps=0.1,0.01,0.001", "continuity.t_star=0.25",
                    "seeds=0,1")
 
-# (experiment, index of its CONSTRAINTS row, one override that breaks only
-# that row); every row has at least one case
+# (experiment, index of its CONSTRAINTS row, space-separated overrides that
+# break only that row); every row has at least one case
 VIOLATIONS = [
     ("acl", 0, "acl.cutoffs=2,4"),
     ("acl", 1, "acl.horizon=1e6"),
+    # 400000 intervals of ceil(0.25 / 0.1) = 3 steps: over the cap, although
+    # the horizon is under it in steps of min(dt, interval)
+    ("acl", 1, "stepper.dt=0.1 acl.horizon=100000"),
     ("acl", 2, "acl.horizon=1.1"),
+    ("acl", 3, "acl.sample_interval=0"),
     ("lemma-a", 0, "bounds.cutoffs=2,4"),
     ("lemma-a", 1, "ensemble.count=1"),
     ("lemma-b", 0, "bracket.cutoffs=4,8"),
     ("lemma-b", 1, "seeds=0"),
     ("lemma-b", 2, "bracket.horizon=1e5"),
     ("lemma-b", 3, "bracket.horizon=0.3"),
+    ("lemma-b", 4, "bracket.sample_interval=-0.25"),
     ("growth", 0, "growth.checkpoints=1"),
     ("growth", 1, "growth.checkpoints=2,1"),
     ("growth", 1, "growth.checkpoints=1,1.1"),
@@ -67,6 +72,7 @@ VIOLATIONS = [
     # the base run fits under the cap, its half-step calibration run does not
     ("scaling", 2, "scaling.horizon=10000"),
     ("scaling", 3, "scaling.horizon=0.8"),
+    ("scaling", 4, "scaling.sample_interval=0"),
     ("continuity", 0, "continuity.eps=0.1,0.01"),
     ("continuity", 1, "continuity.eps=0.01,0.1,0.001"),
     ("continuity", 2, "continuity.t_star=1e5"),
@@ -74,6 +80,8 @@ VIOLATIONS = [
     ("strichartz", 1, "zbound.tau=1e5"),
     ("strichartz", 2, "strichartz.horizon=1.03125"),
     ("strichartz", 3, "zbound.tau=0.1"),
+    ("strichartz", 4, "strichartz.sample_interval=0"),
+    ("strichartz", 5, "zbound.sample_interval=-0.0625"),
 ]
 
 
@@ -445,7 +453,10 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("the run must not start")
         monkeypatch.setattr("nlwlab.harness.cli.run_experiment", refuse)
-        assert main([name, "--workers", "1", "--override", override]) == 2
+        args = [name, "--workers", "1"]
+        for item in override.split():
+            args += ["--override", item]
+        assert main(args) == 2
         message = CONSTRAINTS[name][row][0]
         assert capsys.readouterr().err == f"config error: {message}\n"
 
