@@ -16,11 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numpy import trapezoid as _trapezoid
-except ImportError:  # older numpy
-    from numpy import trapz as _trapezoid
-
 from .fields import (
     apply_multiplier,
     lebesgue_norm,
@@ -69,13 +64,20 @@ def smoothed_energy(state: WaveState, cutoff: float, s: float, p: float,
     the oversampled grid so drift measurements see the solver's conserved
     quadrature, not base-grid aliasing noise.
     """
+    return _smoothed(state, cutoff, s, p, oversample)[0]
+
+
+def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
+              oversample: int = 2) -> tuple[EnergyBreakdown, float, float]:
+    """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares."""
     smoother = smoothing_multiplier(cutoff, s)
+    # Iv is freed before Iu is made: one fewer fresh n^dim array at a time
+    velocity = sobolev_norm(apply_multiplier(state.v, smoother), 0.0)
     iu = apply_multiplier(state.u, smoother)
-    iv = apply_multiplier(state.v, smoother)
-    kinetic = 0.5 * sobolev_norm(iv, 0.0) ** 2
-    gradient = 0.5 * sobolev_norm(iu, 1.0) ** 2
+    gradient = sobolev_norm(iu, 1.0)
     potential = lebesgue_norm(iu, p + 1.0, oversample) ** (p + 1.0) / (p + 1.0)
-    return EnergyBreakdown(kinetic=kinetic, gradient=gradient, potential=potential)
+    return (EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
+                            potential=potential), velocity, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ def spacetime_norm(traj: Trajectory, triple: TripleMQR, params: PdeParams,
     if len(states) < 2:
         raise DiagnosticsError("finite-q time norm needs at least 2 samples")
     _check_uniform(traj.times)
-    return float(_trapezoid(phi ** triple.q, traj.times) ** (1.0 / triple.q))
+    return float(np.trapezoid(phi ** triple.q, traj.times) ** (1.0 / triple.q))
 
 
 @dataclass(frozen=True)
@@ -177,13 +179,10 @@ class BoundRatios:
 def initial_bound_ratios(state: WaveState, cutoff: float, params: PdeParams) -> BoundRatios:
     """Ratios of the smoothed-energy components to their data-norm predictions."""
     s, p = params.s, params.p
-    breakdown = smoothed_energy(state, cutoff, s, p)
+    breakdown, vel_num, grad_num = _smoothed(state, cutoff, s, p)
     norm_s = sobolev_norm(state.u, s)
     norm_v = sobolev_norm(state.v, s - 1.0)
     norm_crit = sobolev_norm(state.u, params.s_crit)
-    smoother = smoothing_multiplier(cutoff, s)
-    grad_num = sobolev_norm(apply_multiplier(state.u, smoother), 1.0)
-    vel_num = sobolev_norm(apply_multiplier(state.v, smoother), 0.0)
     pot_num = (p + 1.0) * breakdown.potential
     factor = cutoff ** (1.0 - s)
     return BoundRatios(

@@ -7,14 +7,14 @@ to the resolved band.  One step is kick(dt/2) o linear(dt) o kick(dt/2); the
 scheme is time-reversible and second order.
 
 Observation times are integer multiples of the step, and the step is adjusted
-downward when a requested sampling interval does not divide it evenly
-(`step_plan`).  Consecutive half-kicks between observations are fused into
-whole kicks (the kick leaves u untouched, so the fusion is exact).  At an
-observation the closing half-kick of one interval and the opening half-kick
-of the next act at the same u, so `evolve` evaluates the nonlinearity there
-once and subtracts the same scaled kick twice: a run of N intervals of S
-steps evaluates N S + 1 kicks.  `evolve` is the one integrator;
-`strang_step` is a single step of it.
+downward when a requested sampling interval does not divide it evenly;
+`step_plan` holds this and every other rule a run obeys.  Consecutive
+half-kicks between observations are fused into whole kicks (the kick leaves u
+untouched, so the fusion is exact).  At an observation the closing half-kick
+of one interval and the opening half-kick of the next act at the same u, so
+`evolve` evaluates the nonlinearity there once and subtracts the same scaled
+kick twice: a run of N intervals of S steps evaluates N S + 1 kicks.  `evolve`
+is the one integrator; `strang_step` is a single step of it.
 
 Between observations `evolve` carries only the k_z < n/2 half of u and v
 (see `fields`): the rotation symbols are even in k and the kick returns the
@@ -48,8 +48,11 @@ from .fields import (
 )
 
 
-# Most steps one evolve call may take; a larger request is an input error.
+# Most steps one run may take, and most bytes its kept states may hold (u and
+# v in complex128, 32 bytes a point: 17 MiB for 17 states of 32^3); a larger
+# request is an input error.
 MAX_STEPS = 2 ** 20
+MAX_KEPT_BYTES = 2 ** 31
 
 
 class BlowUpError(RuntimeError):
@@ -197,29 +200,35 @@ def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
     return evolve(state, cfg.dt, cfg, keep_states=False).final
 
 
-def _interval_count(horizon: float, interval: float) -> int:
-    """horizon / interval, which must be a positive integer."""
+def step_plan(horizon: float, interval: float, dt: float,
+              keep: Grid | None = None) -> tuple[int, int, float]:
+    """(samples, steps per sample interval, step h) of a run: the one rule
+    every `evolve` and `linear_trajectory` run obeys, checkable before it starts.
+
+    The interval lies in (0, horizon], dt is positive, the horizon is a whole
+    number of intervals (within 1e-9) and the run takes at most MAX_STEPS
+    steps; with `keep`, its samples + 1 states on that grid fit in
+    MAX_KEPT_BYTES.  Any breach raises FieldError.  h is dt, or the largest
+    value below it that divides the interval evenly.
+    """
     if not horizon > 0.0:
         raise FieldError(f"horizon must be positive, got {horizon}")
     if not 0.0 < interval <= horizon + 1e-12 * horizon:
         raise FieldError(f"sampling interval {interval} outside (0, horizon]")
-    count = int(round(horizon / interval))
-    if abs(count * interval - horizon) > 1e-9 * horizon:
+    if not dt > 0.0:
+        raise FieldError(f"step must be positive, got {dt}")
+    # capped before rounding, so neither a tiny dt nor a huge count overflows
+    steps_per = max(1, math.ceil(min(interval / dt, MAX_STEPS + 1.0) - 1e-12))
+    if horizon / interval * steps_per > MAX_STEPS + 0.5:
+        raise FieldError(f"horizon {horizon} in intervals of {interval} at step "
+                         f"{dt} exceeds the cap of {MAX_STEPS} steps")
+    samples = round(horizon / interval)
+    if abs(samples * interval - horizon) > 1e-9 * horizon:
         raise FieldError(
             f"horizon {horizon} is not an integer number of sampling intervals {interval}")
-    return count
-
-
-def step_plan(horizon: float, interval: float, dt: float) -> tuple[int, int, float]:
-    """(samples, steps per sample interval, step h) of an `evolve` run.
-
-    The horizon must be a positive integer number of sampling intervals.  h is
-    dt, or the largest value below it that divides the interval evenly.  More
-    than MAX_STEPS steps per interval count as MAX_STEPS + 1, so a tiny dt
-    cannot overflow the count.
-    """
-    samples = _interval_count(horizon, interval)
-    steps_per = max(1, math.ceil(min(interval / dt, MAX_STEPS + 1.0) - 1e-12))
+    if keep is not None and (samples + 1) * 32 * keep.num_points > MAX_KEPT_BYTES:
+        raise FieldError(f"{samples + 1} kept states of {keep.num_points} points "
+                         f"exceed the cap of {MAX_KEPT_BYTES} bytes")
     return samples, steps_per, interval / steps_per
 
 
@@ -230,18 +239,15 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
     The step is cfg.dt or the largest value below it that divides the sampling
     interval evenly, so every observation lands exactly on a step boundary.
-    The horizon must be an integer number of sampling intervals, and the run
-    at most MAX_STEPS steps.  Non-finite values abort with BlowUpError and the
-    offending time stamp.
+    The run must obey `step_plan`, its states counted only with keep_states.
+    Non-finite values abort with BlowUpError and the offending time stamp.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
-    n_samples, steps_per, h = step_plan(horizon, interval, cfg.dt)
-    if n_samples * steps_per > MAX_STEPS:
-        raise FieldError(f"{n_samples} intervals of {interval} at step {cfg.dt} "
-                         f"exceed the cap of {MAX_STEPS} steps")
+    grid = state.grid
+    n_samples, steps_per, h = step_plan(horizon, interval, cfg.dt,
+                                        grid if keep_states else None)
     times = state.t + interval * np.arange(n_samples + 1)
 
-    grid = state.grid
     p, ov = cfg.p, cfg.oversample
     cos, sinc, neg_ksin = _half_rotation(grid, h)
     u = state.u.coeffs[..., :grid.n // 2].copy()
@@ -290,10 +296,9 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 def linear_trajectory(state: WaveState, horizon: float, sample_interval: float) -> Trajectory:
     """Sampled free-wave orbit via the exact propagator (no stepping error).
 
-    The horizon must be a positive integer number of sampling intervals, as
-    in evolve.
+    Its plan is `step_plan`'s at one step per interval, with every state kept.
     """
-    count = _interval_count(horizon, sample_interval)
+    count, _, _ = step_plan(horizon, sample_interval, sample_interval, state.grid)
     times = state.t + sample_interval * np.arange(count + 1)
     states = [state]
     for t in times[1:]:

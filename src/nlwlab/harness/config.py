@@ -5,10 +5,12 @@ There is no nesting: structure lives in the key (grid.n, acl.cutoffs).  Every
 knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
 Lists are comma-separated, floats must be finite, and `build_config` checks
-every per-experiment rule of `CONSTRAINTS`, so a bad config fails before any
-cell runs.  The resolved configuration is hashed (sha256 of the canonical
-key=value listing) and the hash is stamped into every output so records from
-different configurations can never be silently mixed.
+the rows of `CONSTRAINTS`, then builds what the cells build: the grid, PDE
+parameters, stepper, data recipe and every run's `dynamics.step_plan`.  A
+library error there becomes a ConfigError naming the keys, so a bad config
+fails before any cell runs.  The resolved configuration is hashed (sha256 of
+the canonical key=value listing) and the hash is stamped into every output so
+records from different configurations can never be silently mixed.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import hashlib
 import math
 from itertools import pairwise
 
-from ..dynamics import MAX_STEPS, step_plan
-from ..fields import FieldError
+from ..data import DataError, DataRecipe, _dyadic_exponent
+from ..dynamics import StepperConfig, step_plan
+from ..fields import FieldError, Grid
+from ..params import ParamError, PdeParams
 from .records import SCHEMAS
 
 EXPERIMENTS = tuple(SCHEMAS)
@@ -186,96 +190,97 @@ def _at_least(key: str, count: int) -> tuple:
     return f"{key} needs {count} or more values", lambda v: len(v[key]) >= count
 
 
-def _step_cap(horizon_key: str, interval_key: str, divisor: int = 1) -> tuple:
-    """At most MAX_STEPS steps in evolve's own plan (`step_plan`) at
-    stepper.dt / divisor; a list horizon is its max.  A divisor counts a run
-    at a fraction of the step.  A plan that step_plan rejects passes here: a
-    later row, StepperConfig or evolve names its fault."""
-    dt_key = "stepper.dt" if divisor == 1 else f"stepper.dt / {divisor}"
-
-    def holds(v: dict) -> bool:
-        horizon = v[horizon_key]
-        horizon = max(horizon) if isinstance(horizon, tuple) else horizon
-        dt = v["stepper.dt"] / divisor
-        if not dt > 0.0:
-            return True
-        try:
-            samples, steps_per, _ = step_plan(horizon, v[interval_key], dt)
-        except FieldError:
-            return True
-        return samples * steps_per <= MAX_STEPS
-    return (f"{horizon_key} in steps of {dt_key}, rounded down to divide "
-            f"{interval_key}, asks for more steps than the cap of {MAX_STEPS}", holds)
-
-
-def _whole_intervals(horizon_key: str, interval_key: str) -> tuple:
-    """The horizon is a positive whole number of sample intervals, as evolve
-    and linear_trajectory demand; `_positive_interval` rejects a non-positive
-    interval."""
-    def holds(v: dict) -> bool:
-        horizon, interval = v[horizon_key], v[interval_key]
-        if interval <= 0.0:
-            return True
-        count = round(horizon / interval)
-        return count >= 1 and abs(count * interval - horizon) <= 1e-9 * horizon
-    return f"{horizon_key} must be a whole number of {interval_key}", holds
-
-
-def _positive_interval(interval_key: str) -> tuple:
-    return f"{interval_key} outside (0, horizon]", lambda v: v[interval_key] > 0.0
-
-
-def _on_sample_grid(v: dict) -> bool:
-    ts, h = v["growth.checkpoints"], v["growth.sample_interval"]
-    return h > 0.0 and all(a < b for a, b in pairwise(ts)) and all(
-        abs(round(t / h) * h - t) <= 1e-9 * t for t in ts)
-
-
 _TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
               lambda v: len(seed_list(v)) >= 2)
 
-# experiment -> (message, predicate) rows over the resolved values, checked in
-# order by build_config; a row may rely on the rows before it.
+# experiment -> (message, predicate) rows: the rules no library object holds,
+# checked in order by build_config; a row may rely on the rows before it.
 CONSTRAINTS: dict[str, tuple] = {
-    "acl": (_at_least("acl.cutoffs", 3),
-            _step_cap("acl.horizon", "acl.sample_interval"),
-            _whole_intervals("acl.horizon", "acl.sample_interval"),
-            _positive_interval("acl.sample_interval")),
+    "acl": (_at_least("acl.cutoffs", 3),),
     "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
-    "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS,
-                _step_cap("bracket.horizon", "bracket.sample_interval"),
-                _whole_intervals("bracket.horizon", "bracket.sample_interval"),
-                _positive_interval("bracket.sample_interval")),
+    "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS),
     "growth": (
         _at_least("growth.checkpoints", 2),
-        ("growth.checkpoints must be strictly increasing multiples of a "
-         "positive growth.sample_interval", _on_sample_grid),
-        _step_cap("growth.checkpoints", "growth.sample_interval")),
+        ("growth.checkpoints must be strictly increasing",
+         lambda v: all(a < b for a, b in pairwise(v["growth.checkpoints"])))),
     "scaling": (
         _at_least("scaling.lambdas", 1),
         # the residual reads the fourth sample of the base run
         ("scaling.horizon must be at least 3 x scaling.sample_interval", lambda v:
-         v["scaling.horizon"] * (1.0 + 1e-9) >= 3.0 * v["scaling.sample_interval"]),
-        # the calibration run takes steps of stepper.dt / 2
-        _step_cap("scaling.horizon", "scaling.sample_interval", divisor=2),
-        _whole_intervals("scaling.horizon", "scaling.sample_interval"),
-        _positive_interval("scaling.sample_interval")),
+         v["scaling.horizon"] * (1.0 + 1e-9) >= 3.0 * v["scaling.sample_interval"])),
     "continuity": (
         _at_least("continuity.eps", 3),
         ("continuity.eps must be strictly decreasing",
-         lambda v: all(a > b for a, b in pairwise(v["continuity.eps"]))),
-        _step_cap("continuity.t_star", "continuity.t_star")),
-    "strichartz": (_TWO_SEEDS, _step_cap("zbound.tau", "zbound.sample_interval"),
-                   _whole_intervals("strichartz.horizon", "strichartz.sample_interval"),
-                   _whole_intervals("zbound.tau", "zbound.sample_interval"),
-                   _positive_interval("strichartz.sample_interval"),
-                   _positive_interval("zbound.sample_interval")),
+         lambda v: all(a > b for a, b in pairwise(v["continuity.eps"])))),
+    "strichartz": (_TWO_SEEDS,),
 }
+
+
+def _named(keys: tuple, build, *args, **kwargs):
+    """build(*args, **kwargs); a library error becomes a ConfigError naming keys."""
+    try:
+        return build(*args, **kwargs)
+    except (DataError, FieldError, ParamError) as exc:
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
+
+
+# What a cell builds from the resolved values v.
+def _grid(v: dict) -> Grid:
+    return _named(("grid.n", "grid.L", "grid.dim"), Grid,
+                  v["grid.n"], v["grid.L"], v["grid.dim"])
+
+
+def _pde(v: dict) -> PdeParams:
+    return _named(("pde.p", "pde.s"), PdeParams, v["pde.p"], v["pde.s"])
+
+
+def _stepper(v: dict) -> StepperConfig:
+    return _named(("stepper.dt", "pde.p", "stepper.oversample"), StepperConfig,
+                  v["stepper.dt"], v["pde.p"], v["stepper.oversample"])
+
+
+def _recipe(v: dict, seed: int) -> DataRecipe:
+    return _named(("pde.s", "recipe.k_min", "recipe.k_max", "recipe.size_hs"),
+                  DataRecipe, seed, v["pde.s"], v["recipe.k_min"],
+                  v["recipe.k_max"], v["recipe.size_hs"], window=v["recipe.window"])
+
+
+def _plan_runs(experiment: str, v: dict, grid: Grid) -> None:
+    """Plan every run the experiment's cell makes (`dynamics.step_plan`),
+    with the horizon, interval and step the cell passes."""
+    def plan(keys, horizon, interval, dt, keep=True):
+        _named(keys, step_plan, horizon, interval, dt, grid if keep else None)
+
+    dt = v.get("stepper.dt")
+    if experiment in ("acl", "lemma-b", "scaling"):
+        prefix = "bracket" if experiment == "lemma-b" else experiment
+        keys = (f"{prefix}.horizon", f"{prefix}.sample_interval", "stepper.dt")
+        horizon, interval = v[keys[0]], v[keys[1]]
+        plan(keys, horizon, interval, dt)
+        if experiment == "scaling":
+            plan(keys, horizon, interval, dt / 2, keep=False)  # the calibration run
+            for lam in v["scaling.lambdas"]:
+                _named(("scaling.lambdas",), _dyadic_exponent, lam)
+                plan(keys + ("scaling.lambdas",), horizon * lam, interval * lam,
+                     dt * lam)
+    elif experiment == "growth":  # one run, observed at every checkpoint
+        keys = ("growth.checkpoints", "growth.sample_interval", "stepper.dt")
+        for t in v["growth.checkpoints"]:
+            plan(keys, t, v["growth.sample_interval"], dt, keep=False)
+    elif experiment == "continuity":
+        t_star = v["continuity.t_star"]
+        plan(("continuity.t_star", "stepper.dt"), t_star, t_star, dt, keep=False)
+    elif experiment == "strichartz":  # the linear orbit takes one step per interval
+        keys = ("strichartz.horizon", "strichartz.sample_interval")
+        plan(keys, v[keys[0]], v[keys[1]], v[keys[1]])
+        keys = ("zbound.tau", "zbound.sample_interval", "stepper.dt")
+        plan(keys, v[keys[0]], v[keys[1]], dt)
 
 
 def build_config(experiment: str, file_text: str | None = None,
                  overrides=None) -> dict:
-    """Resolve defaults, file values, and overrides into a typed mapping."""
+    """Resolve defaults, file values, and overrides into a typed mapping, and
+    check it by building what the experiment's cells build from it."""
     if experiment not in DEFAULTS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
@@ -291,10 +296,16 @@ def build_config(experiment: str, file_text: str | None = None,
                 raise ConfigError(f"unknown config key {key!r} for {experiment}")
             values[key] = _coerce(key, raw, DEFAULTS[experiment][key])
             _require_finite(key, values[key])
-    seed_list(values)
+    seeds = seed_list(values)
     for message, holds in CONSTRAINTS[experiment]:
         if not holds(values):
             raise ConfigError(message)
+    grid = _grid(values)
+    _pde(values)
+    _recipe(values, seeds[0])
+    if "stepper.dt" in values:
+        _stepper(values)
+    _plan_runs(experiment, values, grid)
     return values
 
 

@@ -1,7 +1,8 @@
 """Experiment runners: one table, `_TABLE`, of (cell, judge) pairs and one runner.
 
 A cell, `cell(values, seed)`, builds its grid, stepper, recipe and PDE
-parameters from the resolved config and returns one tuple per CSV row, in
+parameters with the `config` builders that `build_config` checks, and returns
+one tuple per CSV row, in
 `records.SCHEMAS` order after the (experiment, config_hash, seed) prefix.
 Cells depend only on their arguments, so serial and parallel runs emit
 byte-identical records.  A judge, `judge(values, measured)`, takes every
@@ -21,21 +22,20 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..data import DataRecipe, perturb, rescale, synthesize
+from ..data import perturb, rescale, synthesize
 from ..diagnostics import _ratio, energy_drift, fit_loglog_slope, \
     initial_bound_ratios, norm_growth_ratio, smoothed_energy, spacetime_norm, \
     spacetime_report
-from ..dynamics import StepperConfig, WaveState, evolve, linear_trajectory, \
-    pair_sobolev_norm, pde_residual, state_difference
-from ..fields import Grid
-from ..params import PdeParams, growth_exponents, composite_critical_exponent, \
+from ..dynamics import WaveState, evolve, linear_trajectory, pair_sobolev_norm, \
+    pde_residual, state_difference
+from ..params import growth_exponents, composite_critical_exponent, \
     reference_triples
-from .config import ConfigError, canonical_value, config_hash, seed_list
+from .config import ConfigError, _grid, _pde, _recipe, _stepper, \
+    canonical_value, config_hash, seed_list
 from .records import SCHEMAS, schema_tag
 
 WORKERS_ENV = "NLWLAB_WORKERS"
@@ -66,6 +66,8 @@ def worker_count() -> int:
 def _run_cells(fn, cells, workers: int) -> list:
     if workers <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
+    # imported here: serial runs do not pay for the multiprocessing machinery
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(cells) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells, chunksize=chunk))
@@ -80,26 +82,6 @@ def _assertion(name: str, value: float, threshold: float, sense: str) -> dict:
         raise ValueError(f"unknown assertion sense {sense!r}")
     return {"name": name, "value": value, "threshold": threshold,
             "sense": sense, "passed": bool(passed)}
-
-
-def _pde(values: dict) -> PdeParams:
-    return PdeParams(p=values["pde.p"], s=values["pde.s"])
-
-
-def _grid(values: dict) -> Grid:
-    return Grid(n=values["grid.n"], L=values["grid.L"], dim=values["grid.dim"])
-
-
-def _stepper(values: dict) -> StepperConfig:
-    return StepperConfig(dt=values["stepper.dt"], p=values["pde.p"],
-                         oversample=values["stepper.oversample"])
-
-
-def _recipe(values: dict, seed: int) -> DataRecipe:
-    return DataRecipe(seed=seed, s_target=values["pde.s"],
-                      k_min=values["recipe.k_min"], k_max=values["recipe.k_max"],
-                      size_hs=values["recipe.size_hs"],
-                      window=values["recipe.window"])
 
 
 def _split_half(items) -> tuple[tuple, tuple]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nlwlab.dynamics import (
+    MAX_KEPT_BYTES,
     MAX_STEPS,
     BlowUpError,
     StepperConfig,
@@ -393,12 +394,36 @@ class TestEvolve:
         assert step_plan(0.5, 0.125, 0.125) == (4, 1, 0.125)
         # a step above the interval is cut to it
         assert step_plan(1.0, 0.25, 1.0) == (4, 1, 0.25)
-        # a tiny step counts as one past the cap instead of overflowing
-        assert step_plan(1.0, 1.0, 5e-324) == (1, MAX_STEPS + 1, 1.0 / (MAX_STEPS + 1))
+        # a tiny step is over the cap, without overflowing the count
+        with pytest.raises(FieldError, match="cap"):
+            step_plan(1.0, 1.0, 5e-324)
         with pytest.raises(FieldError, match="outside"):
             step_plan(1.0, 0.0, 0.1)
         with pytest.raises(FieldError, match="integer number"):
             step_plan(1.0, 0.3, 0.1)
+
+    def test_step_plan_cap_is_inclusive(self):
+        assert step_plan(float(MAX_STEPS), 1.0, 1.0) == (MAX_STEPS, 1, 1.0)
+        assert step_plan(MAX_STEPS / 4, 1.0, 0.25)[:2] == (MAX_STEPS // 4, 4)
+        for args in ((MAX_STEPS + 1.0, 1.0, 1.0), (MAX_STEPS / 4, 1.0, 0.2),
+                     (1e300, 1e-10, 1.0), (1.0, 0.25, 0.0)):
+            with pytest.raises(FieldError):
+                step_plan(*args)
+
+    def test_kept_states_capped(self):
+        # a 16^3 state of u and v takes 2^17 bytes: 16384 of them fill the cap
+        count = MAX_KEPT_BYTES // (32 * G3.num_points)
+        assert count == 16384
+        assert step_plan(count - 1.0, 1.0, 1.0, G3)[0] == count - 1
+        assert step_plan(float(count), 1.0, 1.0)[0] == count
+        with pytest.raises(FieldError, match="kept states"):
+            step_plan(float(count), 1.0, 1.0, G3)
+        w = make_state(3)
+        cfg = StepperConfig(dt=1.0, p=4.0)
+        with pytest.raises(FieldError, match="kept states"):
+            evolve(w, float(count), cfg)
+        with pytest.raises(FieldError, match="kept states"):
+            linear_trajectory(w, float(count), 1.0)
 
     def test_reports_step_and_counts(self, monkeypatch):
         calls = []

@@ -44,45 +44,120 @@ from test_acceptance import SHRUNK
 TINY_CONTINUITY = ("continuity.eps=0.1,0.01,0.001", "continuity.t_star=0.25",
                    "seeds=0,1")
 
-# (experiment, index of its CONSTRAINTS row, space-separated overrides that
-# break only that row); every row has at least one case
+# (experiment, case, space-separated overrides, expected stderr after
+# "config error: "): a CONSTRAINTS row's message, or a library message after
+# the config keys it names.  Every row has at least one case.  The test id is
+# "<experiment>-<case>-<overrides>": a number is the index of the CONSTRAINTS
+# row the case was written for, kept for the cases whose rule has since moved
+# into the built objects, so that no id changes; a word names what the
+# library builds and rejects.
+ACL_RUN = "acl.horizon, acl.sample_interval, stepper.dt: "
+BRACKET_RUN = "bracket.horizon, bracket.sample_interval, stepper.dt: "
+GROWTH_RUN = "growth.checkpoints, growth.sample_interval, stepper.dt: "
+SCALING_RUN = "scaling.horizon, scaling.sample_interval, stepper.dt: "
+LINEAR_RUN = "strichartz.horizon, strichartz.sample_interval: "
+ZBOUND_RUN = "zbound.tau, zbound.sample_interval, stepper.dt: "
+STEPPER = "stepper.dt, pde.p, stepper.oversample: "
+CAP = "exceeds the cap of 1048576 steps"
+KEPT = "kept states of 32768 points exceed the cap of 2147483648 bytes"
 VIOLATIONS = [
-    ("acl", 0, "acl.cutoffs=2,4"),
-    ("acl", 1, "acl.horizon=1e6"),
+    ("acl", 0, "acl.cutoffs=2,4", "acl.cutoffs needs 3 or more values"),
+    ("acl", 1, "acl.horizon=1e6",
+     ACL_RUN + f"horizon 1000000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
     # 400000 intervals of ceil(0.25 / 0.1) = 3 steps: over the cap, although
     # the horizon is under it in steps of min(dt, interval)
-    ("acl", 1, "stepper.dt=0.1 acl.horizon=100000"),
-    ("acl", 2, "acl.horizon=1.1"),
-    ("acl", 3, "acl.sample_interval=0"),
-    ("lemma-a", 0, "bounds.cutoffs=2,4"),
-    ("lemma-a", 1, "ensemble.count=1"),
-    ("lemma-b", 0, "bracket.cutoffs=4,8"),
-    ("lemma-b", 1, "seeds=0"),
-    ("lemma-b", 2, "bracket.horizon=1e5"),
-    ("lemma-b", 3, "bracket.horizon=0.3"),
-    ("lemma-b", 4, "bracket.sample_interval=-0.25"),
-    ("growth", 0, "growth.checkpoints=1"),
-    ("growth", 1, "growth.checkpoints=2,1"),
-    ("growth", 1, "growth.checkpoints=1,1.1"),
-    ("growth", 1, "growth.sample_interval=0"),
-    ("growth", 2, "growth.checkpoints=1,2e5"),
-    ("scaling", 0, "scaling.lambdas="),
-    ("scaling", 1, "scaling.horizon=0.5"),
-    ("scaling", 2, "scaling.horizon=1e5"),
-    # the base run fits under the cap, its half-step calibration run does not
-    ("scaling", 2, "scaling.horizon=10000"),
-    ("scaling", 3, "scaling.horizon=0.8"),
-    ("scaling", 4, "scaling.sample_interval=0"),
-    ("continuity", 0, "continuity.eps=0.1,0.01"),
-    ("continuity", 1, "continuity.eps=0.01,0.1,0.001"),
-    ("continuity", 2, "continuity.t_star=1e5"),
-    ("strichartz", 0, "seeds=0"),
-    ("strichartz", 1, "zbound.tau=1e5"),
-    ("strichartz", 2, "strichartz.horizon=1.03125"),
-    ("strichartz", 3, "zbound.tau=0.1"),
-    ("strichartz", 4, "strichartz.sample_interval=0"),
-    ("strichartz", 5, "zbound.sample_interval=-0.0625"),
+    ("acl", 1, "stepper.dt=0.1 acl.horizon=100000",
+     ACL_RUN + f"horizon 100000.0 in intervals of 0.25 at step 0.1 {CAP}"),
+    # horizon / interval overflows to inf
+    ("acl", 1, "acl.horizon=1e300 acl.sample_interval=1e-10",
+     ACL_RUN + f"horizon 1e+300 in intervals of 1e-10 at step 0.015625 {CAP}"),
+    ("acl", 2, "acl.horizon=1.1",
+     ACL_RUN + "horizon 1.1 is not an integer number of sampling intervals 0.25"),
+    ("acl", 3, "acl.sample_interval=0",
+     ACL_RUN + "sampling interval 0.0 outside (0, horizon]"),
+    # 1024000 steps, under MAX_STEPS, but 1024001 kept states of 1 MiB
+    ("acl", "kept", "acl.horizon=16000 acl.sample_interval=0.015625",
+     ACL_RUN + "1024001 " + KEPT),
+    ("acl", "stepper", "stepper.dt=0",
+     STEPPER + "dt must be positive and finite, got 0.0"),
+    ("acl", "stepper", "stepper.oversample=0",
+     STEPPER + "oversample must be an integer >= 1, got 0"),
+    ("acl", "grid", "grid.n=20",
+     "grid.n, grid.L, grid.dim: n must be a power of two >= 16, got 20"),
+    ("acl", "pde", "pde.p=6",
+     "pde.p, pde.s: nonlinearity power p=6.0 outside the supported open range "
+     "(3.6666666666666665, 5.0)"),
+    ("lemma-a", 0, "bounds.cutoffs=2,4", "bounds.cutoffs needs 3 or more values"),
+    ("lemma-a", 1, "ensemble.count=1",
+     "calibrate/hold-out protocol needs at least 2 seeds"),
+    ("lemma-a", "recipe", "recipe.size_hs=0",
+     "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: size_hs must be "
+     "positive, got 0.0"),
+    ("lemma-b", 0, "bracket.cutoffs=4,8", "bracket.cutoffs needs 3 or more values"),
+    ("lemma-b", 1, "seeds=0", "calibrate/hold-out protocol needs at least 2 seeds"),
+    ("lemma-b", 2, "bracket.horizon=1e5",
+     BRACKET_RUN + f"horizon 100000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
+    ("lemma-b", 3, "bracket.horizon=0.3",
+     BRACKET_RUN + "horizon 0.3 is not an integer number of sampling intervals 0.25"),
+    ("lemma-b", 4, "bracket.sample_interval=-0.25",
+     BRACKET_RUN + "sampling interval -0.25 outside (0, horizon]"),
+    ("growth", 0, "growth.checkpoints=1", "growth.checkpoints needs 2 or more values"),
+    ("growth", 1, "growth.checkpoints=2,1",
+     "growth.checkpoints must be strictly increasing"),
+    ("growth", 1, "growth.checkpoints=1,1.1",
+     GROWTH_RUN + "horizon 1.1 is not an integer number of sampling intervals 0.25"),
+    ("growth", 1, "growth.sample_interval=0",
+     GROWTH_RUN + "sampling interval 0.0 outside (0, horizon]"),
+    ("growth", 2, "growth.checkpoints=1,2e5",
+     GROWTH_RUN + f"horizon 200000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
+    ("growth", "recipe", "recipe.k_min=5",
+     "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: need 0 < k_min < k_max, "
+     "got [5.0, 4.7]"),
+    ("scaling", 0, "scaling.lambdas=", "scaling.lambdas needs 1 or more values"),
+    ("scaling", 1, "scaling.horizon=0.5",
+     "scaling.horizon must be at least 3 x scaling.sample_interval"),
+    ("scaling", 2, "scaling.horizon=1e5",
+     SCALING_RUN + f"horizon 100000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
+    # 640000 steps, under the cap, but the base run keeps 40001 states of 1 MiB
+    ("scaling", 2, "scaling.horizon=10000", SCALING_RUN + "40001 " + KEPT),
+    # the base run fits under both caps, its half-step calibration run does not
+    ("scaling", 2, "scaling.horizon=9600 scaling.sample_interval=16",
+     SCALING_RUN + f"horizon 9600.0 in intervals of 16.0 at step 0.0078125 {CAP}"),
+    ("scaling", 3, "scaling.horizon=0.8",
+     SCALING_RUN + "horizon 0.8 is not an integer number of sampling intervals 0.25"),
+    ("scaling", 4, "scaling.sample_interval=0",
+     SCALING_RUN + "sampling interval 0.0 outside (0, horizon]"),
+    ("scaling", "lambdas", "scaling.lambdas=1,3",
+     "scaling.lambdas: scale factor must be a power of two, got 3.0"),
+    ("continuity", 0, "continuity.eps=0.1,0.01",
+     "continuity.eps needs 3 or more values"),
+    ("continuity", 1, "continuity.eps=0.01,0.1,0.001",
+     "continuity.eps must be strictly decreasing"),
+    ("continuity", 2, "continuity.t_star=1e5",
+     "continuity.t_star, stepper.dt: horizon 100000.0 in intervals of 100000.0 "
+     f"at step 0.015625 {CAP}"),
+    ("continuity", "plan", "continuity.t_star=0",
+     "continuity.t_star, stepper.dt: horizon must be positive, got 0.0"),
+    ("continuity", "stepper", "stepper.dt=-0.1",
+     STEPPER + "dt must be positive and finite, got -0.1"),
+    ("strichartz", 0, "seeds=0", "calibrate/hold-out protocol needs at least 2 seeds"),
+    ("strichartz", 1, "zbound.tau=1e5",
+     ZBOUND_RUN + f"horizon 100000.0 in intervals of 0.0625 at step 0.015625 {CAP}"),
+    ("strichartz", 2, "strichartz.horizon=1.03125",
+     LINEAR_RUN + "horizon 1.03125 is not an integer number of sampling "
+     "intervals 0.0625"),
+    ("strichartz", 3, "zbound.tau=0.1",
+     ZBOUND_RUN + "horizon 0.1 is not an integer number of sampling intervals 0.0625"),
+    ("strichartz", 4, "strichartz.sample_interval=0",
+     LINEAR_RUN + "sampling interval 0.0 outside (0, horizon]"),
+    ("strichartz", 5, "zbound.sample_interval=-0.0625",
+     ZBOUND_RUN + "sampling interval -0.0625 outside (0, horizon]"),
+    # the linear orbit is planned at one step per interval
+    ("strichartz", "plan", "strichartz.horizon=1e5",
+     LINEAR_RUN + f"horizon 100000.0 in intervals of 0.0625 at step 0.0625 {CAP}"),
+    ("strichartz", "kept", "strichartz.horizon=200", LINEAR_RUN + "3201 " + KEPT),
 ]
+VIOLATION_IDS = [f"{name}-{case}-{override}" for name, case, override, _ in VIOLATIONS]
 
 
 def _bench_workloads():
@@ -182,9 +257,9 @@ class TestBuildConfig:
                     workload.config(0, tiny=tiny, warmup=warmup)
 
     def test_every_constraint_row_has_a_violation(self):
-        rows = {(name, i) for name, table in CONSTRAINTS.items()
-                for i in range(len(table))}
-        assert {(name, i) for name, i, _ in VIOLATIONS} == rows
+        rows = {(name, message) for name, table in CONSTRAINTS.items()
+                for message, _ in table}
+        assert rows <= {(name, expected) for name, _, _, expected in VIOLATIONS}
         assert tuple(CONSTRAINTS) == EXPERIMENTS
 
     def test_empty_tuple_value(self):
@@ -447,9 +522,10 @@ class TestCli:
                      "--override", "stepper.dt=1e-300"]) == 2
         assert "cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name,row,override", VIOLATIONS)
-    def test_constraint_is_config_error_before_any_run(self, name, row, override,
-                                                       monkeypatch, capsys):
+    @pytest.mark.parametrize("name,case,override,expected", VIOLATIONS,
+                             ids=VIOLATION_IDS)
+    def test_constraint_is_config_error_before_any_run(self, name, case, override,
+                                                       expected, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("the run must not start")
         monkeypatch.setattr("nlwlab.harness.cli.run_experiment", refuse)
@@ -457,8 +533,7 @@ class TestCli:
         for item in override.split():
             args += ["--override", item]
         assert main(args) == 2
-        message = CONSTRAINTS[name][row][0]
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {expected}\n"
 
     def test_unexpected_exception_is_runtime_error(self, monkeypatch, capsys):
         def crash(*args, **kwargs):
