@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    _quadrature,
+    _symbol,
+    _workspace,
     apply_multiplier,
     lebesgue_norm,
     power_multiplier,
@@ -101,16 +104,27 @@ def spacetime_norm(traj: Trajectory, triple: TripleMQR, params: PdeParams,
                    cutoff: float) -> float:
     """L^q-in-time L^r-in-space norm of D^(1-m) I u along the trajectory.
 
-    Time integration is the composite trapezoid rule on the q-th power of the
-    spatial norm; q = inf takes the max over samples and accepts a single
-    sample, while finite q needs at least two.
+    Each state's spatial norm is `lebesgue_norm(apply_multiplier(u, (D^(1-m),
+    I)), r)` bit for bit, built without either call: the k_z < n/2 half of
+    u's coefficients is multiplied by the two symbols in that order into the
+    `half` buffer of the factor-1 workspace, and the quadrature runs from
+    there.  Time integration is the composite trapezoid rule on the q-th
+    power of the spatial norm; q = inf takes the max over samples and accepts
+    a single sample, while finite q needs at least two.
     """
     if not is_allowed_triple(triple, params):
         raise DiagnosticsError(f"triple {triple} is outside the allowed region")
     states = _sampled_states(traj)
-    mults = (power_multiplier(1.0 - triple.m), smoothing_multiplier(cutoff, params.s))
-    phi = np.array([lebesgue_norm(apply_multiplier(w.u, mults), triple.r)
-                    for w in states])
+    grid = states[0].u.grid
+    h = grid.n // 2
+    power = _symbol(grid, power_multiplier(1.0 - triple.m))[..., :h]
+    smoother = _symbol(grid, smoothing_multiplier(cutoff, params.s))[..., :h]
+    iu = _workspace(grid, grid.n).half
+    phi = np.empty(len(states))
+    for i, w in enumerate(states):
+        np.multiply(w.u.coeffs[..., :h], power, out=iu)
+        np.multiply(iu, smoother, out=iu)
+        phi[i] = _quadrature(grid, iu, triple.r, grid.n)
     if math.isinf(triple.q):
         return float(np.max(phi))
     if len(states) < 2:

@@ -24,13 +24,16 @@ Every field is exactly Hermitian, so its half holds all of it; the
 integrator (`dynamics.evolve`) carries only halves between observations.
 
 The nonlinear kick (`dynamics._nonlinear_raw`, which returns the half) and
-`lebesgue_norm` both pass a workspace: the buffers of `_workspace(grid, m)`,
-built once per process.  Every intermediate step then writes into them
-through numpy's `out=`, so a kick allocates only the half it returns.  The
-same 1-D transforms run on the same columns either way, so the results are
-bit for bit equal.  `to_physical`, `from_physical` and `oversampled_values`
-run without one and return fresh arrays; no public function returns a
-workspace buffer.
+the quadrature behind `lebesgue_norm` (`_quadrature`) pass a workspace: the
+buffers of `_workspace(grid, m)`, built once per process.  Every
+intermediate step then writes into them through numpy's `out=`, so a kick
+allocates only the half it returns.  `diagnostics.spacetime_norm` writes
+each state's multiplied k_z < n/2 half into the factor-1 workspace's
+`half` buffer and runs `_quadrature` from there, so it allocates no field
+at all.  The same 1-D transforms run on the same columns either way, so the
+results are bit for bit equal.  `to_physical`, `from_physical` and
+`oversampled_values` run without one and return fresh arrays; no public
+function returns a workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
@@ -384,8 +387,10 @@ class _Workspace:
       transformed: m rows on the axes up to it, n after it, n/2 k_z;
     * `phys` holds the m-point samples;
     * `work` is real m-point scratch for the caller.  Its memory also holds
-      the rfft output `spec` and the k -> -k `mirror` of the k_z = 0 plane,
-      which `_half_band` writes only once the caller is done with `work`.
+      the rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
+      which `_half_band` writes only once the caller is done with `work`,
+      and `half`, k_z < n/2 coefficients the caller builds for `_samples`,
+      which has read them before the caller writes `work`.
 
     At m = 2n in 3-D this is 5.7 MB per n = 32 grid.
     """
@@ -399,6 +404,7 @@ class _Workspace:
         flat = np.empty(math.prod(spec_shape), dtype=np.complex128)
         self.spec = flat.reshape(spec_shape)
         self.mirror = flat[:n ** (dim - 1)].reshape(grid.shape[:-1] + (1,))
+        self.half = flat[:n ** (dim - 1) * h].reshape(grid.shape[:-1] + (h,))
         self.work = flat.view(np.float64)[:m ** dim].reshape(self.phys.shape)
 
 
@@ -498,10 +504,16 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
     if not (1.0 <= r and math.isfinite(r)):
         raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
     m = _oversampled_size(field.grid, oversample)
-    ws = _workspace(field.grid, m)
-    w = np.abs(_samples(field.grid, field.coeffs, m, ws), out=ws.work)
+    return _quadrature(field.grid, field.coeffs, r, m)
+
+
+def _quadrature(grid: Grid, coeffs: np.ndarray, r: float, m: int) -> float:
+    """`lebesgue_norm` of full or half coefficients on the m-point grid: the
+    samples, |.|^r and the sum all run in the workspace of (grid, m)."""
+    ws = _workspace(grid, m)
+    w = np.abs(_samples(grid, coeffs, m, ws), out=ws.work)
     np.power(w, r, out=w)
-    cell = field.grid.L ** field.grid.dim / w.size
+    cell = grid.L ** grid.dim / w.size
     return float(cell * np.sum(w)) ** (1.0 / r)
 
 

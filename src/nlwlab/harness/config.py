@@ -6,11 +6,12 @@ knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
 Lists are comma-separated, floats must be finite, and `build_config` checks
 the rows of `CONSTRAINTS`, then builds what the cells build: the grid, PDE
-parameters, stepper, data recipe and every run's `dynamics.step_plan`.  A
-library error there becomes a ConfigError naming the keys, so a bad config
-fails before any cell runs.  The resolved configuration is hashed (sha256 of
-the canonical key=value listing) and the hash is stamped into every output so
-records from different configurations can never be silently mixed.
+parameters (and, for `growth`, its exponents), stepper, data recipe and every
+run's `dynamics.step_plan`.  A library error there becomes a ConfigError
+naming the keys, so a bad config fails before any cell runs.  The resolved
+configuration is hashed (sha256 of the canonical key=value listing) and the
+hash is stamped into every output so records from different configurations
+can never be silently mixed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import pairwise
 from ..data import DataError, DataRecipe, _dyadic_exponent
 from ..dynamics import StepperConfig, step_plan
 from ..fields import FieldError, Grid
-from ..params import ParamError, PdeParams
+from ..params import ParamError, PdeParams, growth_exponents
 from .records import SCHEMAS
 
 EXPERIMENTS = tuple(SCHEMAS)
@@ -211,7 +212,9 @@ CONSTRAINTS: dict[str, tuple] = {
     "continuity": (
         _at_least("continuity.eps", 3),
         ("continuity.eps must be strictly decreasing",
-         lambda v: all(a > b for a, b in pairwise(v["continuity.eps"])))),
+         lambda v: all(a > b for a, b in pairwise(v["continuity.eps"]))),
+        # data.perturb takes eps = 0, but the log-log continuity fit cannot
+        ("continuity.eps must be positive", lambda v: min(v["continuity.eps"]) > 0.0)),
     "strichartz": (_TWO_SEEDS,),
 }
 
@@ -301,7 +304,9 @@ def build_config(experiment: str, file_text: str | None = None,
         if not holds(values):
             raise ConfigError(message)
     grid = _grid(values)
-    _pde(values)
+    params = _pde(values)
+    if experiment == "growth":  # its envelope needs s above the regularity threshold
+        _named(("pde.p", "pde.s"), growth_exponents, params)
     _recipe(values, seeds[0])
     if "stepper.dt" in values:
         _stepper(values)

@@ -31,7 +31,9 @@ from nlwlab.dynamics import (
 )
 from nlwlab.fields import (
     Grid,
+    _quadrature,
     apply_multiplier,
+    from_coeffs,
     from_physical,
     frequency_split,
     lebesgue_norm,
@@ -165,6 +167,48 @@ class TestSpacetimeNorm:
         coarse = spacetime_norm(desk_run(interval=1.0 / 8), triple, P4, 4.0)
         fine = spacetime_norm(desk_run(interval=1.0 / 16), triple, P4, 4.0)
         assert abs(coarse - fine) / fine < 0.01
+
+    @pytest.mark.parametrize("kind", ["linear", "evolve", "from_coeffs"])
+    def test_equals_composition_bit_for_bit(self, kind, monkeypatch):
+        if kind == "linear":
+            traj = linear_trajectory(desk_state(), 0.5, 0.125)
+        elif kind == "evolve":
+            traj = desk_run(horizon=0.5, interval=0.125)
+        else:
+            rng = np.random.default_rng(11)
+            states = [WaveState(u=from_coeffs(G3, rng.standard_normal(G3.shape)
+                                              + 1j * rng.standard_normal(G3.shape)),
+                                v=zero_field(G3), t=t) for t in (0.0, 0.25, 0.5)]
+            traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), states=states,
+                              final=states[-1])
+        before = [(w.u.coeffs.copy(), w.v.coeffs.copy()) for w in traj.states]
+        # a 1-ulp change in a coefficient rarely reaches the norm, so the
+        # coefficients each quadrature is handed are compared too
+        handed = []
+
+        def spy(grid, coeffs, r, m):
+            handed.append(coeffs.copy())
+            return _quadrature(grid, coeffs, r, m)
+
+        monkeypatch.setattr("nlwlab.diagnostics._quadrature", spy)
+        for triple in reference_triples(P4):
+            for cutoff in (2.0, 4.0):
+                handed.clear()
+                got = spacetime_norm(traj, triple, P4, cutoff)
+                mults = (power_multiplier(1.0 - triple.m),
+                         smoothing_multiplier(cutoff, P4.s))
+                iu = [apply_multiplier(w.u, mults) for w in traj.states]
+                phi = np.array([lebesgue_norm(f, triple.r) for f in iu])
+                if math.isinf(triple.q):
+                    assert got == float(np.max(phi))
+                else:
+                    assert got == float(np.trapezoid(phi ** triple.q, traj.times)
+                                        ** (1.0 / triple.q))
+                assert len(handed) == len(iu)
+                for a, f in zip(handed, iu):
+                    assert np.array_equal(a, f.coeffs[..., :G3.n // 2])
+        for w, (u, v) in zip(traj.states, before):
+            assert np.array_equal(w.u.coeffs, u) and np.array_equal(w.v.coeffs, v)
 
 
 class TestSpacetimeReport:

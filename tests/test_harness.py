@@ -113,6 +113,10 @@ VIOLATIONS = [
     ("growth", "recipe", "recipe.k_min=5",
      "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: need 0 < k_min < k_max, "
      "got [5.0, 4.7]"),
+    # above s_c, so PdeParams takes it, but at or below the regularity threshold
+    ("growth", "exponents", "pde.s=0.9",
+     "pde.p, pde.s: s=0.9 is at or below the regularity threshold for p=4.0; "
+     "growth exponents diverge"),
     ("scaling", 0, "scaling.lambdas=", "scaling.lambdas needs 1 or more values"),
     ("scaling", 1, "scaling.horizon=0.5",
      "scaling.horizon must be at least 3 x scaling.sample_interval"),
@@ -133,6 +137,11 @@ VIOLATIONS = [
      "continuity.eps needs 3 or more values"),
     ("continuity", 1, "continuity.eps=0.01,0.1,0.001",
      "continuity.eps must be strictly decreasing"),
+    # strictly decreasing, but not positive; data.perturb itself accepts 0
+    ("continuity", 2, "continuity.eps=0.1,0.01,-0.001",
+     "continuity.eps must be positive"),
+    ("continuity", 2, "continuity.eps=0.1,0.01,0",
+     "continuity.eps must be positive"),
     ("continuity", 2, "continuity.t_star=1e5",
      "continuity.t_star, stepper.dt: horizon 100000.0 in intervals of 100000.0 "
      f"at step 0.015625 {CAP}"),
@@ -246,6 +255,13 @@ class TestBuildConfig:
             build_config("growth", overrides=["growth.checkpoints=1,2e6",
                                               "growth.sample_interval=1"])
         build_config("growth", overrides=["growth.checkpoints=1,2"])
+
+    def test_growth_exponents_checked_for_growth_only(self):
+        with pytest.raises(ConfigError, match="regularity threshold"):
+            build_config("growth", overrides=["pde.s=0.9"])
+        # the other experiments run at any s above s_c
+        build_config("continuity", overrides=["pde.s=0.9"])
+        build_config("growth", overrides=["pde.s=0.97"])
 
     def test_shipped_configs_pass(self):
         for name in EXPERIMENTS:
