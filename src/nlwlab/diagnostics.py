@@ -7,6 +7,15 @@ usual energy functional, the space-time norms measure D^(1-m) Iu in Lebesgue
 exponents drawn from the admissible triple region, and the ratio diagnostics
 divide measured left-hand sides by the scaling predictions so that a bounded,
 cutoff-trend-free ratio is evidence for the corresponding inequality.
+
+The trajectory diagnostics are running reductions over time, so they have
+one per-state path, `OrbitMeter`: it measures each sampled state once as it
+is produced, and its methods apply the time reductions at the end.  Passed
+as the observer of `evolve` or `linear_trajectory` with keep_states=False,
+it keeps no orbit; `spacetime_norm`, `spacetime_report`, `energy_drift` and
+`norm_growth_ratio` run the same meter over a kept trajectory's states.  The
+per-state measurements write into workspace buffers (`fields`) and build no
+field.
 """
 
 from __future__ import annotations
@@ -17,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    _oversampled_size,
     _quadrature,
+    _sobolev,
     _symbol,
     _workspace,
-    apply_multiplier,
-    lebesgue_norm,
     power_multiplier,
     smoothing_multiplier,
     sobolev_norm,
@@ -72,65 +81,34 @@ def smoothed_energy(state: WaveState, cutoff: float, s: float, p: float,
 
 def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
               oversample: int = 2) -> tuple[EnergyBreakdown, float, float]:
-    """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares."""
-    smoother = smoothing_multiplier(cutoff, s)
-    # Iv is freed before Iu is made: one fewer fresh n^dim array at a time
-    velocity = sobolev_norm(apply_multiplier(state.v, smoother), 0.0)
-    iu = apply_multiplier(state.u, smoother)
-    gradient = sobolev_norm(iu, 1.0)
-    potential = lebesgue_norm(iu, p + 1.0, oversample) ** (p + 1.0) / (p + 1.0)
+    """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares.
+
+    I v and then I u are written into the `full` buffer of the oversampled
+    workspace, with `apply_multiplier`'s product, and measured there with
+    `sobolev_norm`'s and `lebesgue_norm`'s arithmetic, so no field is built.
+    """
+    grid = state.grid
+    m = _oversampled_size(grid, oversample)
+    smoother = _symbol(grid, smoothing_multiplier(cutoff, s))
+    buf = _workspace(grid, m).full
+    # I v is reduced to its norm before I u overwrites it
+    velocity = _sobolev(grid, np.multiply(state.v.coeffs, smoother, out=buf), 0.0)
+    iu = np.multiply(state.u.coeffs, smoother, out=buf)
+    gradient = _sobolev(grid, iu, 1.0)
+    potential = _quadrature(grid, iu, p + 1.0, m) ** (p + 1.0) / (p + 1.0)
     return (EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
                             potential=potential), velocity, gradient)
 
 
 # ---------------------------------------------------------------------------
-# Space-time norms over the admissible triples
+# Orbit diagnostics: one measurement per sampled state, reduced over time
 # ---------------------------------------------------------------------------
-
-def _sampled_states(traj: Trajectory) -> list[WaveState]:
-    if traj.states is None or not traj.states:
-        raise DiagnosticsError("trajectory was sampled without keeping states")
-    return traj.states
-
 
 def _check_uniform(times: np.ndarray) -> None:
     if len(times) >= 3:
         gaps = np.diff(times)
         if np.max(np.abs(gaps - gaps[0])) > 1e-9 * abs(gaps[0]):
             raise DiagnosticsError("trajectory samples are not uniformly spaced")
-
-
-def spacetime_norm(traj: Trajectory, triple: TripleMQR, params: PdeParams,
-                   cutoff: float) -> float:
-    """L^q-in-time L^r-in-space norm of D^(1-m) I u along the trajectory.
-
-    Each state's spatial norm is `lebesgue_norm(apply_multiplier(u, (D^(1-m),
-    I)), r)` bit for bit, built without either call: the k_z < n/2 half of
-    u's coefficients is multiplied by the two symbols in that order into the
-    `half` buffer of the factor-1 workspace, and the quadrature runs from
-    there.  Time integration is the composite trapezoid rule on the q-th
-    power of the spatial norm; q = inf takes the max over samples and accepts
-    a single sample, while finite q needs at least two.
-    """
-    if not is_allowed_triple(triple, params):
-        raise DiagnosticsError(f"triple {triple} is outside the allowed region")
-    states = _sampled_states(traj)
-    grid = states[0].u.grid
-    h = grid.n // 2
-    power = _symbol(grid, power_multiplier(1.0 - triple.m))[..., :h]
-    smoother = _symbol(grid, smoothing_multiplier(cutoff, params.s))[..., :h]
-    iu = _workspace(grid, grid.n).half
-    phi = np.empty(len(states))
-    for i, w in enumerate(states):
-        np.multiply(w.u.coeffs[..., :h], power, out=iu)
-        np.multiply(iu, smoother, out=iu)
-        phi[i] = _quadrature(grid, iu, triple.r, grid.n)
-    if math.isinf(triple.q):
-        return float(np.max(phi))
-    if len(states) < 2:
-        raise DiagnosticsError("finite-q time norm needs at least 2 samples")
-    _check_uniform(traj.times)
-    return float(np.trapezoid(phi ** triple.q, traj.times) ** (1.0 / triple.q))
 
 
 @dataclass(frozen=True)
@@ -145,17 +123,6 @@ class NormReport:
         return max(self.values)
 
 
-def spacetime_report(traj: Trajectory, params: PdeParams, cutoff: float) -> NormReport:
-    """Evaluate the space-time norm on every reference triple."""
-    triples = reference_triples(params)
-    values = tuple(spacetime_norm(traj, t, params, cutoff) for t in triples)
-    return NormReport(triples=triples, values=values)
-
-
-# ---------------------------------------------------------------------------
-# Conservation drift and inequality ratios
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class DriftReport:
     """Smoothed-energy drift statistics over a sampled trajectory."""
@@ -165,14 +132,152 @@ class DriftReport:
     energies: np.ndarray
 
 
+@dataclass(frozen=True)
+class GrowthReport:
+    """Norm-increment ratio against the drift-plus-spacetime bracket."""
+
+    initial: float
+    final: float
+    e_sup: float
+    z_max: float
+    bracket: float
+    ratio: float
+
+
+class OrbitMeter:
+    """Measures each sampled state of an orbit once, in time order.
+
+    Called on a state, it records for every cutoff N the spatial norm
+    |D^(1-m) I_N u|_(L^r) on every triple given and, with `energies`, the
+    smoothed energy.  The norm multiplies the k_z < n/2 half of u's
+    coefficients by D^(1-m) and then by I, the order `apply_multiplier`
+    uses, into the `half` buffer of the factor-1 workspace and runs
+    `_quadrature` from there, so it allocates no field.  The methods named
+    after the public trajectory diagnostics reduce the records over the
+    sample `times`; those functions feed a meter from a kept trajectory's
+    states, so passing one as `observer=` to `evolve` or `linear_trajectory`
+    with keep_states=False gives their results bit for bit without keeping
+    the orbit.  The meter holds only the first and the last state.
+    """
+
+    def __init__(self, cutoffs, s: float, p: float, triples=(),
+                 energies: bool = False):
+        self.s, self.p = s, p
+        self.cutoffs = tuple(dict.fromkeys(cutoffs))
+        self.triples = tuple(dict.fromkeys(triples))
+        self._phi = {(c, t): [] for c in self.cutoffs for t in self.triples}
+        self._energies = {c: [] for c in self.cutoffs} if energies else {}
+        self.count = 0
+        self.first: WaveState | None = None
+        self.last: WaveState | None = None
+
+    def __call__(self, state: WaveState) -> None:
+        grid = state.grid
+        h = grid.n // 2
+        iu = _workspace(grid, grid.n).half
+        u = state.u.coeffs[..., :h]
+        for cutoff in self.cutoffs:
+            smoother = _symbol(grid, smoothing_multiplier(cutoff, self.s))[..., :h]
+            for triple in self.triples:
+                np.multiply(u, _symbol(grid, power_multiplier(1.0 - triple.m))[..., :h],
+                            out=iu)
+                np.multiply(iu, smoother, out=iu)
+                self._phi[cutoff, triple].append(_quadrature(grid, iu, triple.r, grid.n))
+            if self._energies:
+                self._energies[cutoff].append(
+                    smoothed_energy(state, cutoff, self.s, self.p).total)
+        if self.first is None:
+            self.first = state
+        self.last = state
+        self.count += 1
+
+    def _series(self, table: dict, key) -> np.ndarray:
+        if self.count == 0:
+            raise DiagnosticsError("no state was measured")
+        if key not in table:
+            raise DiagnosticsError(f"{key} was not measured")
+        return np.array(table[key])
+
+    def spacetime_norm(self, times: np.ndarray, triple: TripleMQR,
+                       cutoff: float) -> float:
+        """See `spacetime_norm`."""
+        phi = self._series(self._phi, (cutoff, triple))
+        if math.isinf(triple.q):
+            return float(np.max(phi))
+        if self.count < 2:
+            raise DiagnosticsError("finite-q time norm needs at least 2 samples")
+        _check_uniform(times)
+        return float(np.trapezoid(phi ** triple.q, times) ** (1.0 / triple.q))
+
+    def spacetime_report(self, times: np.ndarray, cutoff: float) -> NormReport:
+        """See `spacetime_report`; the triples are the meter's."""
+        values = tuple(self.spacetime_norm(times, t, cutoff) for t in self.triples)
+        return NormReport(triples=self.triples, values=values)
+
+    def energy_drift(self, cutoff: float) -> DriftReport:
+        """See `energy_drift`."""
+        energies = self._series(self._energies, cutoff)
+        if self.count < 2:
+            raise DiagnosticsError("drift needs at least 2 samples")
+        drift = float(np.max(np.abs(energies - energies[0])))
+        return DriftReport(drift=drift, e_sup=float(np.max(energies)), energies=energies)
+
+    def norm_growth_ratio(self, times: np.ndarray, cutoff: float) -> GrowthReport:
+        """See `norm_growth_ratio`; z_max is over the meter's triples."""
+        if self.count < 2:
+            raise DiagnosticsError("growth ratio needs at least 2 samples")
+        s, p = self.s, self.p
+        horizon = float(times[-1] - times[0])
+        initial = pair_sobolev_norm(self.first, s)
+        final = pair_sobolev_norm(self.last, s)
+        e_sup = self.energy_drift(cutoff).e_sup
+        z_max = self.spacetime_report(times, cutoff).z_max
+        bracket = (math.sqrt(e_sup) + horizon * e_sup ** (p / (p + 1.0))
+                   + z_max ** p / cutoff ** (0.5 * (5.0 - p) + 1.0 - s))
+        return GrowthReport(initial=initial, final=final, e_sup=e_sup, z_max=z_max,
+                            bracket=bracket, ratio=_ratio(final - initial, bracket))
+
+
+def _metered(traj: Trajectory, cutoff: float, s: float, p: float, triples=(),
+             energies: bool = False) -> OrbitMeter:
+    """An `OrbitMeter` at one cutoff, fed the trajectory's kept states."""
+    if traj.states is None or not traj.states:
+        raise DiagnosticsError("trajectory was sampled without keeping states")
+    meter = OrbitMeter((cutoff,), s, p, triples, energies)
+    for state in traj.states:
+        meter(state)
+    return meter
+
+
+def spacetime_norm(traj: Trajectory, triple: TripleMQR, params: PdeParams,
+                   cutoff: float) -> float:
+    """L^q-in-time L^r-in-space norm of D^(1-m) I u along the trajectory.
+
+    Each state's spatial norm is `lebesgue_norm(apply_multiplier(u, (D^(1-m),
+    I)), r)` bit for bit (see `OrbitMeter`).  Time integration is the
+    composite trapezoid rule on the q-th power of the spatial norm; q = inf
+    takes the max over samples and accepts a single sample, while finite q
+    needs at least two.
+    """
+    if not is_allowed_triple(triple, params):
+        raise DiagnosticsError(f"triple {triple} is outside the allowed region")
+    meter = _metered(traj, cutoff, params.s, params.p, (triple,))
+    return meter.spacetime_norm(traj.times, triple, cutoff)
+
+
+def spacetime_report(traj: Trajectory, params: PdeParams, cutoff: float) -> NormReport:
+    """Evaluate the space-time norm on every reference triple."""
+    meter = _metered(traj, cutoff, params.s, params.p, reference_triples(params))
+    return meter.spacetime_report(traj.times, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# Conservation drift and inequality ratios
+# ---------------------------------------------------------------------------
+
 def energy_drift(traj: Trajectory, cutoff: float, s: float, p: float) -> DriftReport:
     """sup_t |E(t) - E(0)| and sup_t E(t) of the smoothed energy."""
-    states = _sampled_states(traj)
-    if len(states) < 2:
-        raise DiagnosticsError("drift needs at least 2 samples")
-    energies = np.array([smoothed_energy(w, cutoff, s, p).total for w in states])
-    drift = float(np.max(np.abs(energies - energies[0])))
-    return DriftReport(drift=drift, e_sup=float(np.max(energies)), energies=energies)
+    return _metered(traj, cutoff, s, p, energies=True).energy_drift(cutoff)
 
 
 @dataclass(frozen=True)
@@ -208,18 +313,6 @@ def initial_bound_ratios(state: WaveState, cutoff: float, params: PdeParams) -> 
     )
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Norm-increment ratio against the drift-plus-spacetime bracket."""
-
-    initial: float
-    final: float
-    e_sup: float
-    z_max: float
-    bracket: float
-    ratio: float
-
-
 def norm_growth_ratio(traj: Trajectory, params: PdeParams, cutoff: float) -> GrowthReport:
     """(pair norm at T minus at 0) over the energy/space-time bracket.
 
@@ -227,19 +320,9 @@ def norm_growth_ratio(traj: Trajectory, params: PdeParams, cutoff: float) -> Gro
     a bounded ratio across runs supports the norm-increment bound.  Zero
     trajectories return ratio 0 by the 0/0 convention.
     """
-    states = _sampled_states(traj)
-    if len(states) < 2:
-        raise DiagnosticsError("growth ratio needs at least 2 samples")
-    s, p = params.s, params.p
-    horizon = float(traj.times[-1] - traj.times[0])
-    initial = pair_sobolev_norm(states[0], s)
-    final = pair_sobolev_norm(states[-1], s)
-    e_sup = energy_drift(traj, cutoff, s, p).e_sup
-    z_max = spacetime_report(traj, params, cutoff).z_max
-    bracket = (math.sqrt(e_sup) + horizon * e_sup ** (p / (p + 1.0))
-               + z_max ** p / cutoff ** (0.5 * (5.0 - p) + 1.0 - s))
-    return GrowthReport(initial=initial, final=final, e_sup=e_sup, z_max=z_max,
-                        bracket=bracket, ratio=_ratio(final - initial, bracket))
+    meter = _metered(traj, cutoff, params.s, params.p, reference_triples(params),
+                     energies=True)
+    return meter.norm_growth_ratio(traj.times, cutoff)
 
 
 # ---------------------------------------------------------------------------

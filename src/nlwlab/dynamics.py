@@ -19,8 +19,14 @@ is the one integrator; `strang_step` is a single step of it.
 Between observations `evolve` carries only the k_z < n/2 half of u and v
 (see `fields`): the rotation symbols are even in k and the kick returns the
 half of an exactly Hermitian field, so the dropped half is always the
-conjugate reflection of the kept one.  Each kept state is completed to the
-full layout.
+conjugate reflection of the kept one.  Each sampled state is completed to
+the full layout once.  `linear_trajectory` rotates the k_z < n/2 half of its
+initial state to each sample time in the same way.
+
+Both runs hand each sampled state to an optional observer as it is made, and
+keep the states only with keep_states: an observer that measures each state
+(`diagnostics.OrbitMeter`) needs no kept orbit, and a run that keeps none is
+not held to the kept-state cap.
 """
 
 from __future__ import annotations
@@ -144,9 +150,13 @@ def _rotation(grid: Grid, duration: float):
 
 @lru_cache(maxsize=32)
 def _half_rotation(grid: Grid, duration: float):
-    """The k_z < n/2 halves of `_rotation`'s symbols, contiguous."""
+    """The k_z < n/2 halves of `_rotation`'s symbols, contiguous.
+
+    They are cut from an uncached computation, so the full symbols they come
+    from are freed rather than held in `_rotation`'s cache.
+    """
     halves = tuple(np.ascontiguousarray(a[..., :grid.n // 2])
-                   for a in _rotation(grid, duration))
+                   for a in _rotation.__wrapped__(grid, duration))
     for arr in halves:
         arr.flags.writeable = False
     return halves
@@ -185,14 +195,6 @@ def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
     """Projection of |u|^(p-1) u onto the resolved (mean-free) band."""
     return _make(u.grid, _complete(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample)))
-
-
-def nonlinear_kick(state: WaveState, duration: float, cfg: StepperConfig) -> WaveState:
-    """Momentum kick v <- v - duration * |u|^(p-1) u; u and t unchanged."""
-    g = _complete(state.grid, _nonlinear_raw(state.grid, state.u.coeffs, cfg.p,
-                                             cfg.oversample))
-    return WaveState(u=state.u, v=_make(state.grid, state.v.coeffs - duration * g),
-                     t=state.t)
 
 
 def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
@@ -293,17 +295,36 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
                       steps=n_samples * steps_per, kicks=kicks)
 
 
-def linear_trajectory(state: WaveState, horizon: float, sample_interval: float) -> Trajectory:
+def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, *,
+                      keep_states: bool = True, observer=None) -> Trajectory:
     """Sampled free-wave orbit via the exact propagator (no stepping error).
 
-    Its plan is `step_plan`'s at one step per interval, with every state kept.
+    Its plan is `step_plan`'s at one step per interval, its states counted
+    only with keep_states.  The first sample is `state` itself; each later
+    one is `propagate_linear(state, t - state.t)` bit for bit, rotated on the
+    k_z < n/2 half (`_half_rotation`) and completed once.  keep_states and
+    observer work as in `evolve`.
     """
-    count, _, _ = step_plan(horizon, sample_interval, sample_interval, state.grid)
+    grid = state.grid
+    count, _, _ = step_plan(horizon, sample_interval, sample_interval,
+                            grid if keep_states else None)
     times = state.t + sample_interval * np.arange(count + 1)
-    states = [state]
-    for t in times[1:]:
-        states.append(propagate_linear(state, float(t) - state.t))
-    return Trajectory(times=times, states=states, final=states[-1])
+    h = grid.n // 2
+    u0, v0 = state.u.coeffs[..., :h], state.v.coeffs[..., :h]
+    states: list[WaveState] | None = [] if keep_states else None
+    current = state
+    for i, t in enumerate(times):
+        if i:
+            duration = float(t) - state.t
+            cos, sinc, neg_ksin = _half_rotation(grid, duration)
+            current = WaveState(u=_make(grid, _complete(grid, cos * u0 + sinc * v0)),
+                                v=_make(grid, _complete(grid, neg_ksin * u0 + cos * v0)),
+                                t=state.t + duration)
+        if states is not None:
+            states.append(current)
+        if observer is not None:
+            observer(current)
+    return Trajectory(times=times, states=states, final=current)
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,23 @@ transforms run numpy's per-axis irfftn/rfftn steps in numpy's axis order,
 pruned to skip the columns that are all zero padding (or are truncated
 away), so their results are bit for bit those of the unpruned transforms.
 Every field is exactly Hermitian, so its half holds all of it; the
-integrator (`dynamics.evolve`) carries only halves between observations.
+integrator (`dynamics.evolve`) and the free-wave orbit
+(`dynamics.linear_trajectory`) carry only halves between samples.
 
 The nonlinear kick (`dynamics._nonlinear_raw`, which returns the half) and
 the quadrature behind `lebesgue_norm` (`_quadrature`) pass a workspace: the
 buffers of `_workspace(grid, m)`, built once per process.  Every
 intermediate step then writes into them through numpy's `out=`, so a kick
-allocates only the half it returns.  `diagnostics.spacetime_norm` writes
-each state's multiplied k_z < n/2 half into the factor-1 workspace's
-`half` buffer and runs `_quadrature` from there, so it allocates no field
-at all.  The same 1-D transforms run on the same columns either way, so the
-results are bit for bit equal.  `to_physical`, `from_physical` and
-`oversampled_values` run without one and return fresh arrays; no public
-function returns a workspace buffer.
+allocates only the half it returns.  The per-state measurements of
+`diagnostics` allocate no field either: `diagnostics.OrbitMeter` (behind
+`spacetime_norm`) writes each state's multiplied k_z < n/2 half into the
+factor-1 workspace's `half` buffer and runs `_quadrature` from there, and
+the smoothed energy writes I v, then I u, into the oversampled workspace's
+`full` buffer and measures it with `_sobolev` (the arithmetic of
+`sobolev_norm`) and `_quadrature`.  The same 1-D transforms and products
+run on the same operands either way, so the results are bit for bit equal.
+`to_physical` and `from_physical` run without a workspace and return fresh
+arrays; no public function returns a workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
@@ -338,11 +342,15 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
     The zero mode carries no weight for any sigma (it is zero by convention,
     and negative orders are undefined there).
     """
-    c = field.coeffs
+    return _sobolev(field.grid, field.coeffs, sigma)
+
+
+def _sobolev(grid: Grid, c: np.ndarray, sigma: float) -> float:
+    """`sobolev_norm` of full-layout coefficients, such as a workspace buffer."""
     power = c.real * c.real + c.imag * c.imag
     if sigma != 0.0:
-        power = power * _symbol(field.grid, power_multiplier(2.0 * sigma))
-    return math.sqrt(field.grid.L ** field.grid.dim * float(np.sum(power)))
+        power = power * _symbol(grid, power_multiplier(2.0 * sigma))
+    return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
 
 
 def _resize(a: np.ndarray, axis: int, size: int, h: int,
@@ -390,9 +398,11 @@ class _Workspace:
       the rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
       which `_half_band` writes only once the caller is done with `work`,
       and `half`, k_z < n/2 coefficients the caller builds for `_samples`,
-      which has read them before the caller writes `work`.
+      which has read them before the caller writes `work`;
+    * `full` holds full-layout coefficients the caller builds, apart from
+      every other buffer; its pages are touched only by a caller that uses it.
 
-    At m = 2n in 3-D this is 5.7 MB per n = 32 grid.
+    At m = 2n in 3-D this is 5.7 MB per n = 32 grid, and `full` 0.5 MB more.
     """
 
     def __init__(self, grid: Grid, m: int):
@@ -406,6 +416,7 @@ class _Workspace:
         self.mirror = flat[:n ** (dim - 1)].reshape(grid.shape[:-1] + (1,))
         self.half = flat[:n ** (dim - 1) * h].reshape(grid.shape[:-1] + (h,))
         self.work = flat.view(np.float64)[:m ** dim].reshape(self.phys.shape)
+        self.full = np.empty(grid.shape, dtype=np.complex128)
 
 
 @lru_cache(maxsize=4)
@@ -481,15 +492,6 @@ def _oversampled_size(grid: Grid, factor: int) -> int:
     if factor < 1:
         raise FieldError(f"oversample factor must be >= 1, got {factor}")
     return factor * grid.n
-
-
-def oversampled_values(field: SpectralField, factor: int) -> np.ndarray:
-    """Physical samples on a factor-times-finer grid (trigonometric values).
-
-    Zero-padding the spectrum is exact interpolation, so the samples are the
-    same trigonometric polynomial read on more points.
-    """
-    return _samples(field.grid, field.coeffs, _oversampled_size(field.grid, factor))
 
 
 def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:

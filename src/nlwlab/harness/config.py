@@ -250,8 +250,11 @@ def _recipe(v: dict, seed: int) -> DataRecipe:
 
 def _plan_runs(experiment: str, v: dict, grid: Grid) -> None:
     """Plan every run the experiment's cell makes (`dynamics.step_plan`),
-    with the horizon, interval and step the cell passes."""
-    def plan(keys, horizon, interval, dt, keep=True):
+    with the horizon, interval and step the cell passes, and the kept-state
+    cap exactly where the cell keeps states: `scaling`'s base and rescaled
+    runs.  Every other run is measured as it goes (`diagnostics.OrbitMeter`)
+    or read only at its end."""
+    def plan(keys, horizon, interval, dt, keep=False):
         _named(keys, step_plan, horizon, interval, dt, grid if keep else None)
 
     dt = v.get("stepper.dt")
@@ -259,20 +262,20 @@ def _plan_runs(experiment: str, v: dict, grid: Grid) -> None:
         prefix = "bracket" if experiment == "lemma-b" else experiment
         keys = (f"{prefix}.horizon", f"{prefix}.sample_interval", "stepper.dt")
         horizon, interval = v[keys[0]], v[keys[1]]
-        plan(keys, horizon, interval, dt)
+        plan(keys, horizon, interval, dt, keep=experiment == "scaling")
         if experiment == "scaling":
-            plan(keys, horizon, interval, dt / 2, keep=False)  # the calibration run
+            plan(keys, horizon, interval, dt / 2)  # the calibration run
             for lam in v["scaling.lambdas"]:
                 _named(("scaling.lambdas",), _dyadic_exponent, lam)
                 plan(keys + ("scaling.lambdas",), horizon * lam, interval * lam,
-                     dt * lam)
+                     dt * lam, keep=True)
     elif experiment == "growth":  # one run, observed at every checkpoint
         keys = ("growth.checkpoints", "growth.sample_interval", "stepper.dt")
         for t in v["growth.checkpoints"]:
-            plan(keys, t, v["growth.sample_interval"], dt, keep=False)
+            plan(keys, t, v["growth.sample_interval"], dt)
     elif experiment == "continuity":
         t_star = v["continuity.t_star"]
-        plan(("continuity.t_star", "stepper.dt"), t_star, t_star, dt, keep=False)
+        plan(("continuity.t_star", "stepper.dt"), t_star, t_star, dt)
     elif experiment == "strichartz":  # the linear orbit takes one step per interval
         keys = ("strichartz.horizon", "strichartz.sample_interval")
         plan(keys, v[keys[0]], v[keys[1]], v[keys[1]])

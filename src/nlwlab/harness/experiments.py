@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import perturb, rescale, synthesize
-from ..diagnostics import _ratio, energy_drift, fit_loglog_slope, \
-    initial_bound_ratios, norm_growth_ratio, smoothed_energy, spacetime_norm, \
-    spacetime_report
+from ..diagnostics import OrbitMeter, _ratio, fit_loglog_slope, \
+    initial_bound_ratios, smoothed_energy
 from ..dynamics import WaveState, evolve, linear_trajectory, pair_sobolev_norm, \
     pde_residual, state_difference
 from ..params import growth_exponents, composite_critical_exponent, \
@@ -125,11 +124,13 @@ def _slopes(name: str, xs, per_seed: dict):
 def _acl_cell(values: dict, seed: int) -> list:
     params = _pde(values)
     state = synthesize(_recipe(values, seed), _grid(values))
-    traj = evolve(state, values["acl.horizon"], _stepper(values),
-                  sample_interval=values["acl.sample_interval"])
+    meter = OrbitMeter(values["acl.cutoffs"], params.s, params.p, energies=True)
+    evolve(state, values["acl.horizon"], _stepper(values),
+           sample_interval=values["acl.sample_interval"], keep_states=False,
+           observer=meter)
     out = []
     for cutoff in values["acl.cutoffs"]:
-        rep = energy_drift(traj, cutoff, params.s, params.p)
+        rep = meter.energy_drift(cutoff)
         out.append((cutoff, rep.drift, rep.e_sup))
     return out
 
@@ -172,11 +173,14 @@ def _judge_lemma_a(values: dict, measured: dict):
 def _lemma_b_cell(values: dict, seed: int) -> list:
     params = _pde(values)
     state = synthesize(_recipe(values, seed), _grid(values))
+    meter = OrbitMeter(values["bracket.cutoffs"], params.s, params.p,
+                       reference_triples(params), energies=True)
     traj = evolve(state, values["bracket.horizon"], _stepper(values),
-                  sample_interval=values["bracket.sample_interval"])
+                  sample_interval=values["bracket.sample_interval"],
+                  keep_states=False, observer=meter)
     out = []
     for cutoff in values["bracket.cutoffs"]:
-        rep = norm_growth_ratio(traj, params, cutoff)
+        rep = meter.norm_growth_ratio(traj.times, cutoff)
         out.append((cutoff, rep.initial, rep.final, rep.e_sup, rep.z_max,
                     rep.ratio))
     return out
@@ -366,13 +370,16 @@ def _amplitude_for_energy(quad: float, pot: float, p: float, target: float) -> f
 def _strichartz_cell(values: dict, seed: int) -> list:
     """A linear row per reference triple, then a zbound row (m, q, r, ratio blank)."""
     params = _pde(values)
+    triples = reference_triples(params)
     w0 = synthesize(_recipe(values, seed), _grid(values))
+    cutoff = values["strichartz.cutoff"]
+    meter = OrbitMeter((cutoff,), params.s, params.p, triples)
     ltraj = linear_trajectory(w0, values["strichartz.horizon"],
-                              values["strichartz.sample_interval"])
+                              values["strichartz.sample_interval"],
+                              keep_states=False, observer=meter)
     out = []
-    for triple in reference_triples(params):
-        z_value = spacetime_norm(ltraj, triple, params,
-                                 values["strichartz.cutoff"])
+    for triple in triples:
+        z_value = meter.spacetime_norm(ltraj.times, triple, cutoff)
         data_norm = pair_sobolev_norm(w0, triple.m)
         out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
                     _ratio(z_value, data_norm)))
@@ -382,10 +389,12 @@ def _strichartz_cell(values: dict, seed: int) -> list:
                                 breakdown.potential, params.p,
                                 values["zbound.energy_target"])
     small = WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)
+    meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True)
     ztraj = evolve(small, values["zbound.tau"], _stepper(values),
-                   sample_interval=values["zbound.sample_interval"])
-    z_max = spacetime_report(ztraj, params, zb_cutoff).z_max
-    e_sup = energy_drift(ztraj, zb_cutoff, params.s, params.p).e_sup
+                   sample_interval=values["zbound.sample_interval"],
+                   keep_states=False, observer=meter)
+    z_max = meter.spacetime_report(ztraj.times, zb_cutoff).z_max
+    e_sup = meter.energy_drift(zb_cutoff).e_sup
     out.append(("zbound", "", "", "", z_max, e_sup, ""))
     return out
 

@@ -12,6 +12,8 @@ import pytest
 from nlwlab.data import DataRecipe, synthesize
 from nlwlab.diagnostics import (
     DiagnosticsError,
+    OrbitMeter,
+    _smoothed,
     energy_drift,
     fit_loglog_slope,
     initial_bound_ratios,
@@ -40,6 +42,7 @@ from nlwlab.fields import (
     power_multiplier,
     single_mode,
     smoothing_multiplier,
+    sobolev_norm,
     to_physical,
     zero_field,
 )
@@ -117,6 +120,24 @@ class TestSmoothedEnergy:
     def test_parts_nonnegative(self):
         e = smoothed_energy(desk_state(), 4.0, 0.95, 4.0)
         assert e.kinetic > 0.0 and e.gradient > 0.0 and e.potential > 0.0
+
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    def test_equals_composition_bit_for_bit(self, oversample):
+        states = [desk_state(seed=seed) for seed in (5, 6)]
+        before = [(w.u.coeffs.copy(), w.v.coeffs.copy()) for w in states]
+        for cutoff in (0.5, 2.0, 4.0):
+            smoother = smoothing_multiplier(cutoff, 0.95)
+            for w in states:  # alternated, so each call meets the last one's buffer
+                got, velocity, gradient = _smoothed(w, cutoff, 0.95, 4.0, oversample)
+                iv = apply_multiplier(w.v, smoother)
+                iu = apply_multiplier(w.u, smoother)
+                assert velocity == sobolev_norm(iv, 0.0)
+                assert gradient == sobolev_norm(iu, 1.0)
+                assert got.kinetic == 0.5 * sobolev_norm(iv, 0.0) ** 2
+                assert got.gradient == 0.5 * sobolev_norm(iu, 1.0) ** 2
+                assert got.potential == lebesgue_norm(iu, 5.0, oversample) ** 5.0 / 5.0
+        for w, (u, v) in zip(states, before):
+            assert np.array_equal(w.u.coeffs, u) and np.array_equal(w.v.coeffs, v)
 
 
 class TestSpacetimeNorm:
@@ -330,6 +351,50 @@ class TestNormGrowthRatio:
         w = desk_state()
         with pytest.raises(DiagnosticsError):
             norm_growth_ratio(constant_trajectory(w, [0.0]), P4, 4.0)
+
+
+class TestOrbitMeter:
+    @pytest.mark.parametrize("kind", ["evolve", "linear"])
+    def test_observed_run_equals_kept_run(self, kind):
+        w = desk_state(size=1.0)
+        cutoffs = (2.0, 4.0)
+        triples = reference_triples(P4)
+        meter = OrbitMeter(cutoffs, P4.s, P4.p, triples, energies=True)
+        if kind == "evolve":
+            cfg = StepperConfig(dt=1.0 / 32, p=4.0)
+            kept = evolve(w, 0.5, cfg, sample_interval=0.125)
+            live = evolve(w, 0.5, cfg, sample_interval=0.125, keep_states=False,
+                          observer=meter)
+        else:
+            kept = linear_trajectory(w, 0.5, 0.125)
+            live = linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=meter)
+        assert live.states is None and meter.count == len(kept.states) == 5
+        for cutoff in cutoffs:
+            for triple in triples:
+                assert (meter.spacetime_norm(live.times, triple, cutoff)
+                        == spacetime_norm(kept, triple, P4, cutoff))
+            assert (meter.spacetime_report(live.times, cutoff)
+                    == spacetime_report(kept, P4, cutoff))
+            drift, ref = meter.energy_drift(cutoff), energy_drift(kept, cutoff, P4.s, P4.p)
+            assert (drift.drift, drift.e_sup) == (ref.drift, ref.e_sup)
+            assert np.array_equal(drift.energies, ref.energies)
+            assert (meter.norm_growth_ratio(live.times, cutoff)
+                    == norm_growth_ratio(kept, P4, cutoff))
+
+    def test_measures_only_what_it_was_given(self):
+        meter = OrbitMeter((4.0, 4.0), P4.s, P4.p, reference_triples(P4)[:1])
+        with pytest.raises(DiagnosticsError, match="no state"):
+            meter.energy_drift(4.0)
+        w = desk_state()
+        meter(w)
+        meter(w)
+        assert meter.cutoffs == (4.0,)
+        triple = reference_triples(P4)[0]
+        assert meter.spacetime_norm(np.array([0.0, 1.0]), triple, 4.0) > 0.0
+        with pytest.raises(DiagnosticsError, match="not measured"):
+            meter.energy_drift(4.0)
+        with pytest.raises(DiagnosticsError, match="not measured"):
+            meter.spacetime_norm(np.array([0.0, 1.0]), triple, 2.0)
 
 
 class TestSlopeFit:

@@ -19,7 +19,6 @@ from nlwlab.dynamics import (
     evolve,
     linear_trajectory,
     momentum,
-    nonlinear_kick,
     nonlinear_term,
     pair_sobolev_norm,
     pde_residual,
@@ -33,6 +32,7 @@ import nlwlab.dynamics as dynamics
 from nlwlab.fields import (
     FieldError,
     Grid,
+    _make,
     _reverse_indices,
     apply_multiplier,
     from_coeffs,
@@ -48,6 +48,17 @@ from test_spectral_reference import block_slices, reference_band, reference_samp
 
 G3 = Grid(n=16, L=32.0, dim=3)
 G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
+
+
+def nonlinear_kick(state, duration, cfg):
+    """Momentum kick v <- v - duration * |u|^(p-1) u; u and t unchanged.
+
+    The oracle of a single separate kick, against which `evolve`'s fused
+    half-kicks are checked.
+    """
+    g = nonlinear_term(state.u, cfg.p, cfg.oversample).coeffs
+    return WaveState(u=state.u, v=_make(state.grid, state.v.coeffs - duration * g),
+                     t=state.t)
 
 
 def band_field(grid, seed, cutoff, amp=1.0):
@@ -537,6 +548,47 @@ class TestLinearTrajectory:
     def test_rejects_non_positive_interval(self, interval):
         with pytest.raises(FieldError, match="outside"):
             linear_trajectory(make_state(53), 1.0, interval)
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_states_are_the_exact_propagator_bit_for_bit(self, grid):
+        w = make_state(54, grid=grid, cutoff=0.45 if grid is G3 else 20.0)
+        w = WaveState(u=w.u, v=w.v, t=0.375)
+        traj = linear_trajectory(w, 1.0, 0.25)
+        assert traj.states[0] is w and traj.final is traj.states[-1]
+        for t, s in zip(traj.times[1:], traj.states[1:]):
+            ref = propagate_linear(w, float(t) - w.t)
+            assert s.t == ref.t
+            assert np.array_equal(s.u.coeffs, ref.u.coeffs)
+            assert np.array_equal(s.v.coeffs, ref.v.coeffs)
+
+    def test_observed_run_keeps_nothing(self, monkeypatch):
+        w = make_state(55)
+        kept = linear_trajectory(w, 1.0, 0.25)
+        seen = []
+        live = linear_trajectory(w, 1.0, 0.25, keep_states=False, observer=seen.append)
+        assert live.states is None
+        assert np.array_equal(live.times, kept.times)
+        assert len(seen) == len(kept.states) == 5
+        for a, b in zip(seen, kept.states):
+            assert a.t == b.t
+            assert np.array_equal(a.u.coeffs, b.u.coeffs)
+            assert np.array_equal(a.v.coeffs, b.v.coeffs)
+        assert live.final is seen[-1]
+        # with room for 4 states, only the kept run of 5 is refused
+        monkeypatch.setattr(dynamics, "MAX_KEPT_BYTES", 4 * 32 * G3.num_points)
+        with pytest.raises(FieldError, match="kept states"):
+            linear_trajectory(w, 1.0, 0.25)
+        linear_trajectory(w, 1.0, 0.25, keep_states=False)
+
+    def test_half_rotation_pins_no_full_rotation(self):
+        grid = Grid(n=16, L=7.0, dim=3)
+        before = dynamics._rotation.cache_info().currsize
+        halves = dynamics._half_rotation(grid, 0.123456789)
+        assert dynamics._rotation.cache_info().currsize == before
+        full = dynamics._rotation(grid, 0.123456789)
+        for half, whole in zip(halves, full):
+            assert half.flags.c_contiguous and not half.flags.writeable
+            assert np.array_equal(half, whole[..., :grid.n // 2])
 
 
 class TestConservation:

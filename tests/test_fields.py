@@ -16,6 +16,7 @@ from nlwlab.fields import (
     _band,
     _complete,
     _half_band,
+    _oversampled_size,
     _resize,
     _reverse_indices,
     _samples,
@@ -27,7 +28,6 @@ from nlwlab.fields import (
     hermitian_symmetrize,
     lebesgue_norm,
     low_pass,
-    oversampled_values,
     power_multiplier,
     single_mode,
     smoothing_multiplier,
@@ -352,6 +352,12 @@ class TestLebesgueNorm:
         expected = float(grid.L ** grid.dim / w.size * np.sum(w)) ** (1.0 / r)
         assert lebesgue_norm(f, r, factor) == expected
         assert lebesgue_norm(f, r, factor) == expected  # the reused workspace
+
+
+def oversampled_values(field, factor):
+    """Physical samples on a factor-times-finer grid (trigonometric values):
+    the padded transform that the kick and `lebesgue_norm` run in a workspace."""
+    return _samples(field.grid, field.coeffs, _oversampled_size(field.grid, factor))
 
 
 class TestOversampledValues:

@@ -75,9 +75,6 @@ VIOLATIONS = [
      ACL_RUN + "horizon 1.1 is not an integer number of sampling intervals 0.25"),
     ("acl", 3, "acl.sample_interval=0",
      ACL_RUN + "sampling interval 0.0 outside (0, horizon]"),
-    # 1024000 steps, under MAX_STEPS, but 1024001 kept states of 1 MiB
-    ("acl", "kept", "acl.horizon=16000 acl.sample_interval=0.015625",
-     ACL_RUN + "1024001 " + KEPT),
     ("acl", "stepper", "stepper.dt=0",
      STEPPER + "dt must be positive and finite, got 0.0"),
     ("acl", "stepper", "stepper.oversample=0",
@@ -164,7 +161,6 @@ VIOLATIONS = [
     # the linear orbit is planned at one step per interval
     ("strichartz", "plan", "strichartz.horizon=1e5",
      LINEAR_RUN + f"horizon 100000.0 in intervals of 0.0625 at step 0.0625 {CAP}"),
-    ("strichartz", "kept", "strichartz.horizon=200", LINEAR_RUN + "3201 " + KEPT),
 ]
 VIOLATION_IDS = [f"{name}-{case}-{override}" for name, case, override, _ in VIOLATIONS]
 
@@ -255,6 +251,16 @@ class TestBuildConfig:
             build_config("growth", overrides=["growth.checkpoints=1,2e6",
                                               "growth.sample_interval=1"])
         build_config("growth", overrides=["growth.checkpoints=1,2"])
+
+    @pytest.mark.parametrize("experiment,overrides", [
+        # 1024000 steps, under MAX_STEPS, observed as it goes: 1024001 kept
+        # states of 1 MiB would exceed MAX_KEPT_BYTES, but none is kept
+        ("acl", ["acl.horizon=16000", "acl.sample_interval=0.015625"]),
+        # a linear orbit of 3201 samples, measured as it goes
+        ("strichartz", ["strichartz.horizon=200"]),
+    ], ids=["acl", "strichartz"])
+    def test_unkept_run_has_no_kept_state_cap(self, experiment, overrides):
+        build_config(experiment, overrides=overrides)  # only checked, not run
 
     def test_growth_exponents_checked_for_growth_only(self):
         with pytest.raises(ConfigError, match="regularity threshold"):
@@ -445,6 +451,23 @@ class TestRunExperiment:
         names = [a["name"] for a in s["assertions"]]
         assert "distance_monotone_violations" in names
         assert "median_distance_slope" in names
+
+    @pytest.mark.parametrize("name,runs", [
+        ("acl", ["evolve"]), ("lemma-b", ["evolve"]),
+        ("strichartz", ["linear_trajectory", "evolve"])])
+    def test_measured_runs_keep_no_orbit(self, name, runs, monkeypatch):
+        # these cells measure each state as it is produced (OrbitMeter)
+        calls = []
+        for fn in ("evolve", "linear_trajectory"):
+            def spy(*args, _fn=fn, _original=getattr(experiments, fn), **kwargs):
+                calls.append((_fn, kwargs.get("keep_states", True),
+                              kwargs.get("observer") is not None))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, fn, spy)
+        values = build_config(name, overrides=SHRUNK[name])
+        cell, _ = experiments._TABLE[name]
+        cell(values, seed_list(values)[0])
+        assert calls == [(fn, False, True) for fn in runs]
 
     def test_rerun_is_byte_identical(self):
         values = build_config("continuity", overrides=TINY_CONTINUITY)
