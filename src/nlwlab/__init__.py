@@ -29,7 +29,6 @@ from .dynamics import (
     WaveState,
     evolve,
     linear_trajectory,
-    momentum,
     nonlinear_term,
     pair_sobolev_norm,
     pde_residual,
@@ -47,7 +46,6 @@ from .fields import (
     frequency_split,
     from_coeffs,
     from_physical,
-    hermitian_symmetrize,
     lebesgue_norm,
     low_pass,
     power_multiplier,

@@ -20,8 +20,10 @@ Between observations `evolve` carries only the k_z < n/2 half of u and v
 (see `fields`): the rotation symbols are even in k and the kick returns the
 half of an exactly Hermitian field, so the dropped half is always the
 conjugate reflection of the kept one.  Each sampled state is completed to
-the full layout once.  `linear_trajectory` rotates the k_z < n/2 half of its
-initial state to each sample time in the same way.
+the full layout once.  One cache (`_rotation`) holds the rotation symbols,
+and only their k_z < n/2 halves: `evolve` rotates its halves in place with
+them, and `propagate_linear`, the exact free wave, rotates a state's half
+and completes it; `linear_trajectory` takes each sample from it.
 
 Both runs hand each sampled state to an optional observer as it is made, and
 keep the states only with keep_states: an observer that measures each state
@@ -135,7 +137,9 @@ def state_difference(a: WaveState, b: WaveState) -> WaveState:
 
 @lru_cache(maxsize=32)
 def _rotation(grid: Grid, duration: float):
-    """cos(|k| t), sin(|k| t)/|k| (t at k=0), -|k| sin(|k| t) on the grid."""
+    """The k_z < n/2 halves, contiguous, of cos(|k| t), sin(|k| t)/|k| (t at
+    k=0) and -|k| sin(|k| t): the symbols are computed on the full grid and
+    cut, and only the halves are held."""
     kmag = _kmag(grid)
     phase = kmag * duration
     cos = np.cos(phase)
@@ -143,32 +147,25 @@ def _rotation(grid: Grid, duration: float):
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(kmag > 0.0, sin / np.where(kmag > 0.0, kmag, 1.0), duration)
     neg_ksin = -(kmag * sin)
-    for arr in (cos, sinc, neg_ksin):
-        arr.flags.writeable = False
-    return cos, sinc, neg_ksin
-
-
-@lru_cache(maxsize=32)
-def _half_rotation(grid: Grid, duration: float):
-    """The k_z < n/2 halves of `_rotation`'s symbols, contiguous.
-
-    They are cut from an uncached computation, so the full symbols they come
-    from are freed rather than held in `_rotation`'s cache.
-    """
-    halves = tuple(np.ascontiguousarray(a[..., :grid.n // 2])
-                   for a in _rotation.__wrapped__(grid, duration))
+    halves = tuple(np.ascontiguousarray(a[..., :grid.n // 2]) for a in (cos, sinc, neg_ksin))
     for arr in halves:
         arr.flags.writeable = False
     return halves
 
 
 def propagate_linear(state: WaveState, duration: float) -> WaveState:
-    """Exact free-wave propagation: per-mode rotation at angular speed |k|."""
-    cos, sinc, neg_ksin = _rotation(state.grid, duration)
-    uc, vc = state.u.coeffs, state.v.coeffs
-    new_u = cos * uc + sinc * vc
-    new_v = neg_ksin * uc + cos * vc
-    return WaveState(u=_make(state.grid, new_u), v=_make(state.grid, new_v),
+    """Exact free-wave propagation: per-mode rotation at angular speed |k|.
+
+    The k_z < n/2 half is rotated and completed (`fields._complete`); the
+    symbols are even in k, so the result equals the rotated full layout
+    value for value.
+    """
+    grid = state.grid
+    cos, sinc, neg_ksin = _rotation(grid, duration)
+    h = grid.n // 2
+    uc, vc = state.u.coeffs[..., :h], state.v.coeffs[..., :h]
+    return WaveState(u=_make(grid, _complete(grid, cos * uc + sinc * vc)),
+                     v=_make(grid, _complete(grid, neg_ksin * uc + cos * vc)),
                      t=state.t + duration)
 
 
@@ -251,7 +248,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     times = state.t + interval * np.arange(n_samples + 1)
 
     p, ov = cfg.p, cfg.oversample
-    cos, sinc, neg_ksin = _half_rotation(grid, h)
+    cos, sinc, neg_ksin = _rotation(grid, h)
     u = state.u.coeffs[..., :grid.n // 2].copy()
     v = state.v.coeffs[..., :grid.n // 2].copy()
     u_next = np.empty_like(u)
@@ -301,25 +298,17 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
 
     Its plan is `step_plan`'s at one step per interval, its states counted
     only with keep_states.  The first sample is `state` itself; each later
-    one is `propagate_linear(state, t - state.t)` bit for bit, rotated on the
-    k_z < n/2 half (`_half_rotation`) and completed once.  keep_states and
-    observer work as in `evolve`.
+    one is `propagate_linear(state, t - state.t)`.  keep_states and observer
+    work as in `evolve`.
     """
-    grid = state.grid
     count, _, _ = step_plan(horizon, sample_interval, sample_interval,
-                            grid if keep_states else None)
+                            state.grid if keep_states else None)
     times = state.t + sample_interval * np.arange(count + 1)
-    h = grid.n // 2
-    u0, v0 = state.u.coeffs[..., :h], state.v.coeffs[..., :h]
     states: list[WaveState] | None = [] if keep_states else None
     current = state
     for i, t in enumerate(times):
         if i:
-            duration = float(t) - state.t
-            cos, sinc, neg_ksin = _half_rotation(grid, duration)
-            current = WaveState(u=_make(grid, _complete(grid, cos * u0 + sinc * v0)),
-                                v=_make(grid, _complete(grid, neg_ksin * u0 + cos * v0)),
-                                t=state.t + duration)
+            current = propagate_linear(state, float(t) - state.t)
         if states is not None:
             states.append(current)
         if observer is not None:
@@ -328,7 +317,7 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
 
 
 # ---------------------------------------------------------------------------
-# Certificates and conserved quantities
+# Certificates and the conserved energy
 # ---------------------------------------------------------------------------
 
 def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
@@ -363,18 +352,3 @@ def true_energy(state: WaveState, p: float, oversample: int = 2) -> float:
     grad = 0.5 * sobolev_norm(state.u, 1.0) ** 2
     pot = lebesgue_norm(state.u, p + 1.0, oversample) ** (p + 1.0) / (p + 1.0)
     return kin + grad + pot
-
-
-def momentum(state: WaveState) -> np.ndarray:
-    """Field momentum integral of v grad(u), one component per axis."""
-    grid = state.grid
-    ax = grid.axis_wavenumbers()
-    uc, vc = state.u.coeffs, state.v.coeffs
-    out = np.empty(grid.dim)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        k_axis = ax.reshape(shape)
-        integrand = np.real(np.conj(vc) * (1j * k_axis) * uc)
-        out[axis] = grid.L ** grid.dim * float(np.sum(integrand))
-    return out

@@ -21,23 +21,24 @@ transforms run numpy's per-axis irfftn/rfftn steps in numpy's axis order,
 pruned to skip the columns that are all zero padding (or are truncated
 away), so their results are bit for bit those of the unpruned transforms.
 Every field is exactly Hermitian, so its half holds all of it; the
-integrator (`dynamics.evolve`) and the free-wave orbit
-(`dynamics.linear_trajectory`) carry only halves between samples.
+integrator (`dynamics.evolve`) carries only halves between samples, and the
+exact free-wave propagator (`dynamics.propagate_linear`) rotates only the
+half.
 
-The nonlinear kick (`dynamics._nonlinear_raw`, which returns the half) and
-the quadrature behind `lebesgue_norm` (`_quadrature`) pass a workspace: the
-buffers of `_workspace(grid, m)`, built once per process.  Every
-intermediate step then writes into them through numpy's `out=`, so a kick
-allocates only the half it returns.  The per-state measurements of
-`diagnostics` allocate no field either: `diagnostics.OrbitMeter` (behind
-`spacetime_norm`) writes each state's multiplied k_z < n/2 half into the
-factor-1 workspace's `half` buffer and runs `_quadrature` from there, and
-the smoothed energy writes I v, then I u, into the oversampled workspace's
-`full` buffer and measures it with `_sobolev` (the arithmetic of
-`sobolev_norm`) and `_quadrature`.  The same 1-D transforms and products
-run on the same operands either way, so the results are bit for bit equal.
-`to_physical` and `from_physical` run without a workspace and return fresh
-arrays; no public function returns a workspace buffer.
+Every transform runs in a workspace: the buffers of `_workspace(grid, m)`
+for its m-point samples, built once per process.  Every intermediate step
+writes into them through numpy's `out=`, so the nonlinear kick
+(`dynamics._nonlinear_raw`) allocates only the half it returns, and the
+quadrature behind `lebesgue_norm` (`_quadrature`) allocates nothing.  The
+per-state measurements of `diagnostics` allocate no field either:
+`diagnostics.OrbitMeter` (behind `spacetime_norm`) writes each state's
+multiplied k_z < n/2 half into the factor-1 workspace's `half` buffer and
+runs `_quadrature` from there, and the smoothed energy writes I v, then
+I u, into the oversampled workspace's `full` buffer and measures it with
+`_sobolev` (the arithmetic of `sobolev_norm`) and `_quadrature`.
+`to_physical` copies its samples out of the (grid, n) workspace, and
+`from_physical` returns a new array of coefficients, so no public function
+returns a workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
@@ -199,7 +200,10 @@ def zero_field(grid: Grid) -> SpectralField:
 
 
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Forward transform of real grid samples, normalized by 1/n^dim."""
+    """Forward transform of real grid samples, normalized by 1/n^dim.
+
+    It runs in the (grid, n) workspace; the coefficients are a new array.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape != grid.shape:
         raise FieldError(f"sample shape {arr.shape} != grid shape {grid.shape}")
@@ -207,8 +211,12 @@ def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Inverse transform to real grid samples."""
-    return _samples(field.grid, field.coeffs, field.grid.n)
+    """Inverse transform to real grid samples.
+
+    It runs in the (grid, n) workspace and returns a copy of the samples.
+    """
+    grid = field.grid
+    return _samples(grid, field.coeffs, grid.n, _workspace(grid, grid.n)).copy()
 
 
 def single_mode(grid: Grid, index: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
@@ -353,24 +361,17 @@ def _sobolev(grid: Grid, c: np.ndarray, sigma: float) -> float:
     return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
 
 
-def _resize(a: np.ndarray, axis: int, size: int, h: int,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _resize(a: np.ndarray, axis: int, size: int, h: int, out: np.ndarray) -> np.ndarray:
     """Keep the first and last h entries of one axis at a new axis length.
 
     These are the modes 0..h-1 and -h..-1 in fftn layout.  Growing zero-fills
     the middle (spectral padding); shrinking drops it (truncation).  At the
-    same length the result is `a` itself, else `out` when given, else a new
-    array.
+    same length the result is `a` itself, else `out`, which has the new length.
     """
     if a.shape[axis] == size:
         return a
     lead = (slice(None),) * axis
-    if out is None:
-        shape = list(a.shape)
-        shape[axis] = size
-        out = np.zeros(shape, dtype=a.dtype)
-    else:
-        out[lead + (slice(h, size - h),)] = 0.0
+    out[lead + (slice(h, size - h),)] = 0.0
     out[lead + (slice(0, h),)] = a[lead + (slice(0, h),)]
     out[lead + (slice(size - h, size),)] = a[lead + (slice(a.shape[axis] - h, None),)]
     return out
@@ -389,7 +390,8 @@ def _conj_mirror(c: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Reused buffers for `_samples` and `_band` between a grid and m points.
+    """Reused buffers for `_samples` and `_half_band` between a grid and m
+    points; both take the workspace of their m as a required argument.
 
     * `pads[axis]` holds the spectrum while leading axis `axis` is
       transformed: m rows on the axes up to it, n after it, n/2 k_z;
@@ -398,7 +400,8 @@ class _Workspace:
       the rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
       which `_half_band` writes only once the caller is done with `work`,
       and `half`, k_z < n/2 coefficients the caller builds for `_samples`,
-      which has read them before the caller writes `work`;
+      which has read them before the caller writes `work` (a `_half_band`
+      at m, such as `from_physical` at m = n, overwrites it too);
     * `full` holds full-layout coefficients the caller builds, apart from
       every other buffer; its pages are touched only by a caller that uses it.
 
@@ -425,26 +428,23 @@ def _workspace(grid: Grid, m: int) -> _Workspace:
     return _Workspace(grid, m)
 
 
-def _samples(grid: Grid, coeffs: np.ndarray, m: int,
-             ws: _Workspace | None = None) -> np.ndarray:
+def _samples(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace) -> np.ndarray:
     """Real values of the coefficients on the m-point grid (m a multiple of n).
 
     The steps and axis order of irfftn, pruned: each leading axis is padded to
     m just before its own inverse transform, so no transform runs over columns
     that are all padding.  The last axis goes in as its n/2 resolved k_z,
-    which irfft zero-fills to m/2 + 1 itself.  With a workspace every step
-    writes into its buffers and the result is `ws.phys`; without one, every
-    step returns a new array.
+    which irfft zero-fills to m/2 + 1 itself.  Every step writes into the
+    buffers of `ws`, the workspace of (grid, m), and the result is `ws.phys`.
     """
     h = grid.n // 2
     a = coeffs[..., :h]
-    for axis, pad in enumerate([None] * (grid.dim - 1) if ws is None else ws.pads):
+    for axis, pad in enumerate(ws.pads):
         a = np.fft.ifft(_resize(a, axis, m, h, pad), axis=axis, norm="forward", out=pad)
-    return np.fft.irfft(a, n=m, axis=-1, norm="forward",
-                        out=None if ws is None else ws.phys)
+    return np.fft.irfft(a, n=m, axis=-1, norm="forward", out=ws.phys)
 
 
-def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Resolved k_z < n/2 half of the coefficients of real samples on any
     m-point grid (m >= n).
 
@@ -453,21 +453,20 @@ def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace | None = None) ->
     columns.  The k_z = 0 plane, which the k_z < 0 half would share, is then
     replaced by its Hermitian part, and the mean and the Nyquist planes are
     zeroed, so `_complete` of the result is exactly Hermitian and clean.  The
-    result is always a new array; a workspace holds every intermediate step.
+    result is a new array; `ws`, the workspace of (grid, m), holds every
+    intermediate step.
     """
     h = grid.n // 2
-    a = np.fft.rfft(samples, axis=-1, norm="forward",
-                    out=None if ws is None else ws.spec)[..., :h]
+    a = np.fft.rfft(samples, axis=-1, norm="forward", out=ws.spec)[..., :h]
     half = np.empty(grid.shape[:-1] + (h,), dtype=np.complex128)
-    pads = [None] * (grid.dim - 1) if ws is None else ws.pads
     for axis in reversed(range(grid.dim - 1)):
-        dst = pads[axis - 1] if axis else half
-        a = _resize(np.fft.fft(a, axis=axis, norm="forward", out=pads[axis]),
+        dst = ws.pads[axis - 1] if axis else half
+        a = _resize(np.fft.fft(a, axis=axis, norm="forward", out=ws.pads[axis]),
                     axis, grid.n, h, dst)
     if a is not half:  # dim 1, or m = n: nothing was truncated into it
         half[...] = a
     plane = half[..., :1]
-    plane += _conj_mirror(plane, np.empty_like(plane) if ws is None else ws.mirror)
+    plane += _conj_mirror(plane, ws.mirror)
     plane *= 0.5
     return _clean(grid, half)
 
@@ -484,8 +483,9 @@ def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 
 def _band(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Resolved-band coefficients of real samples in the full layout."""
-    return _complete(grid, _half_band(grid, samples))
+    """Resolved-band coefficients of real samples in the full layout, a new
+    array; the transform runs in the workspace of (grid, m), m = len(samples)."""
+    return _complete(grid, _half_band(grid, samples, _workspace(grid, samples.shape[0])))
 
 
 def _oversampled_size(grid: Grid, factor: int) -> int:

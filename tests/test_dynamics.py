@@ -18,7 +18,6 @@ from nlwlab.dynamics import (
     WaveState,
     evolve,
     linear_trajectory,
-    momentum,
     nonlinear_term,
     pair_sobolev_norm,
     pde_residual,
@@ -32,6 +31,7 @@ import nlwlab.dynamics as dynamics
 from nlwlab.fields import (
     FieldError,
     Grid,
+    _kmag,
     _make,
     _reverse_indices,
     apply_multiplier,
@@ -59,6 +59,37 @@ def nonlinear_kick(state, duration, cfg):
     g = nonlinear_term(state.u, cfg.p, cfg.oversample).coeffs
     return WaveState(u=state.u, v=_make(state.grid, state.v.coeffs - duration * g),
                      t=state.t)
+
+
+def rotate_full(state, duration):
+    """Free-wave rotation of the full layout by symbols computed afresh from
+    `_kmag`: the oracle of `propagate_linear`'s cached half-spectrum kernel."""
+    kmag = _kmag(state.grid)
+    phase = kmag * duration
+    cos = np.cos(phase)
+    sin = np.sin(phase)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.where(kmag > 0.0, sin / np.where(kmag > 0.0, kmag, 1.0), duration)
+    neg_ksin = -(kmag * sin)
+    uc, vc = state.u.coeffs, state.v.coeffs
+    return WaveState(u=_make(state.grid, cos * uc + sinc * vc),
+                     v=_make(state.grid, neg_ksin * uc + cos * vc),
+                     t=state.t + duration)
+
+
+def momentum(state):
+    """Field momentum integral of v grad(u), one component per axis."""
+    grid = state.grid
+    ax = grid.axis_wavenumbers()
+    uc, vc = state.u.coeffs, state.v.coeffs
+    out = np.empty(grid.dim)
+    for axis in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        k_axis = ax.reshape(shape)
+        integrand = np.real(np.conj(vc) * (1j * k_axis) * uc)
+        out[axis] = grid.L ** grid.dim * float(np.sum(integrand))
+    return out
 
 
 def band_field(grid, seed, cutoff, amp=1.0):
@@ -143,6 +174,23 @@ class TestLinearPropagation:
         w = make_state(13)
         back = propagate_linear(propagate_linear(w, 0.9), -0.9)
         assert np.max(np.abs(back.u.coeffs - w.u.coeffs)) < 1e-13
+
+    @pytest.mark.parametrize("grid, cutoff", [(G1, 20.0), (G3, 0.45)],
+                             ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("duration", [0.0, 1.0 / 16, -0.9])
+    def test_half_kernel_matches_full_rotation_bit_for_bit(self, grid, cutoff, duration):
+        # values, not sign bits: completing the half writes 0.0 where the
+        # full product of a zero coefficient may give -0.0
+        w = make_state(14, grid=grid, cutoff=cutoff)
+        w = WaveState(u=w.u, v=w.v, t=0.375)
+        out = propagate_linear(w, duration)
+        ref = rotate_full(w, duration)
+        assert out.t == ref.t
+        assert np.array_equal(out.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(out.v.coeffs, ref.v.coeffs)
+        for sym in dynamics._rotation(grid, duration):
+            assert sym.shape == grid.shape[:-1] + (grid.n // 2,)
+            assert sym.flags.c_contiguous and not sym.flags.writeable
 
 
 class TestNonlinearKick:
@@ -332,7 +380,7 @@ class TestStrangStep:
         w = WaveState(u=w.u, v=w.v, t=0.375)
         cfg = StepperConfig(dt=1.0 / 16, p=4.0, oversample=oversample)
         ref = nonlinear_kick(w, 0.5 * cfg.dt, cfg)
-        ref = propagate_linear(ref, cfg.dt)
+        ref = rotate_full(ref, cfg.dt)
         ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
         out = strang_step(w, cfg)
         assert np.array_equal(out.u.coeffs, ref.u.coeffs)
@@ -353,9 +401,9 @@ class TestStrangStep:
         ref, expected = w, [w]
         for _ in range(3):
             ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
-            ref = propagate_linear(ref, cfg.dt)
+            ref = rotate_full(ref, cfg.dt)
             ref = nonlinear_kick(ref, cfg.dt, cfg)
-            ref = propagate_linear(ref, cfg.dt)
+            ref = rotate_full(ref, cfg.dt)
             ref = nonlinear_kick(ref, 0.5 * cfg.dt, cfg)
             expected.append(ref)
         assert len(traj.states) == len(expected) == 4
@@ -556,7 +604,7 @@ class TestLinearTrajectory:
         traj = linear_trajectory(w, 1.0, 0.25)
         assert traj.states[0] is w and traj.final is traj.states[-1]
         for t, s in zip(traj.times[1:], traj.states[1:]):
-            ref = propagate_linear(w, float(t) - w.t)
+            ref = rotate_full(w, float(t) - w.t)
             assert s.t == ref.t
             assert np.array_equal(s.u.coeffs, ref.u.coeffs)
             assert np.array_equal(s.v.coeffs, ref.v.coeffs)
@@ -579,16 +627,6 @@ class TestLinearTrajectory:
         with pytest.raises(FieldError, match="kept states"):
             linear_trajectory(w, 1.0, 0.25)
         linear_trajectory(w, 1.0, 0.25, keep_states=False)
-
-    def test_half_rotation_pins_no_full_rotation(self):
-        grid = Grid(n=16, L=7.0, dim=3)
-        before = dynamics._rotation.cache_info().currsize
-        halves = dynamics._half_rotation(grid, 0.123456789)
-        assert dynamics._rotation.cache_info().currsize == before
-        full = dynamics._rotation(grid, 0.123456789)
-        for half, whole in zip(halves, full):
-            assert half.flags.c_contiguous and not half.flags.writeable
-            assert np.array_equal(half, whole[..., :grid.n // 2])
 
 
 class TestConservation:

@@ -21,6 +21,7 @@ from nlwlab.fields import (
     _reverse_indices,
     _samples,
     _symbol,
+    _workspace,
     apply_multiplier,
     frequency_split,
     from_coeffs,
@@ -37,6 +38,9 @@ from nlwlab.fields import (
     wavenumber_of_index,
     zero_field,
 )
+from nlwlab.diagnostics import OrbitMeter
+from nlwlab.dynamics import WaveState
+from nlwlab.params import TripleMQR
 from test_spectral_reference import block_slices, reference_band, reference_samples
 
 G3 = Grid(n=16, L=32.0, dim=3)
@@ -356,8 +360,10 @@ class TestLebesgueNorm:
 
 def oversampled_values(field, factor):
     """Physical samples on a factor-times-finer grid (trigonometric values):
-    the padded transform that the kick and `lebesgue_norm` run in a workspace."""
-    return _samples(field.grid, field.coeffs, _oversampled_size(field.grid, factor))
+    the padded transform that the kick and `lebesgue_norm` run in a workspace,
+    copied out of it."""
+    m = _oversampled_size(field.grid, factor)
+    return _samples(field.grid, field.coeffs, m, _workspace(field.grid, m)).copy()
 
 
 class TestOversampledValues:
@@ -375,10 +381,17 @@ class TestOversampledValues:
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
     def test_successive_results_stay_fresh(self, grid):
         f, g = random_field(grid, 16), random_field(grid, 17)
-        for transform in (to_physical, lambda x: oversampled_values(x, 2)):
+        meter = OrbitMeter((0.5,), 0.95, 4.0, (TripleMQR(0.5, 4.0, 5.3),))
+        ws = _workspace(grid, grid.n)  # `work`, `mirror` and `half` lie in `spec`
+        buffers = (*ws.pads, ws.phys, ws.spec, ws.full)
+        for transform in (to_physical, lambda x: oversampled_values(x, 2),
+                          lambda x: from_physical(grid, to_physical(x)).coeffs):
             first = transform(f)
             kept = first.copy()
+            assert not any(np.shares_memory(first, b) for b in buffers)
             lebesgue_norm(g, 5.0, 2)  # runs in the (grid, 2n) workspace
+            lebesgue_norm(g, 5.0, 1)  # and these two in the (grid, n) one
+            meter(WaveState(u=g, v=g))
             second = transform(g)
             assert np.array_equal(first, kept)
             assert not np.shares_memory(first, second)
@@ -407,17 +420,21 @@ class TestOversampledValues:
         f = random_field(grid, 13)
         m, h = factor * grid.n, grid.n // 2
         for axis in range(grid.dim):
-            wide = _resize(f.coeffs, axis, m, h)
+            # NaN-filled buffers: every entry of a result is written
+            shape = list(grid.shape)
+            shape[axis] = m
+            wide = _resize(f.coeffs, axis, m, h, np.full(shape, np.nan, dtype=complex))
             assert wide.shape[axis] == m
             assert np.count_nonzero(wide) == np.count_nonzero(f.coeffs)
-            assert np.array_equal(_resize(wide, axis, grid.n, h), f.coeffs)
+            narrow = np.full(grid.shape, np.nan, dtype=complex)
+            assert np.array_equal(_resize(wide, axis, grid.n, h, narrow), f.coeffs)
 
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
     def test_pruned_transforms_match_reference_bit_for_bit(self, grid, factor):
         f = random_field(grid, 13)
         m = factor * grid.n
-        samples = _samples(grid, f.coeffs, m)
+        samples = _samples(grid, f.coeffs, m, _workspace(grid, m)).copy()
         assert np.array_equal(samples, reference_samples(grid, f.coeffs, m))
         # generic samples carry modes beyond the band, which _band drops
         rough = np.random.default_rng(14).standard_normal((m,) * grid.dim)
@@ -429,7 +446,7 @@ class TestOversampledValues:
     def test_half_band_is_the_kept_half_of_band(self, grid, factor):
         h = grid.n // 2
         rough = np.random.default_rng(15).standard_normal((factor * grid.n,) * grid.dim)
-        half = _half_band(grid, rough)
+        half = _half_band(grid, rough, _workspace(grid, factor * grid.n))
         assert half.shape == grid.shape[:-1] + (h,)
         assert np.array_equal(half, reference_band(grid, rough)[..., :h])
 
