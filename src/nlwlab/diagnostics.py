@@ -157,7 +157,10 @@ class OrbitMeter:
     sample `times`; those functions feed a meter from a kept trajectory's
     states, so passing one as `observer=` to `evolve` or `linear_trajectory`
     with keep_states=False gives their results bit for bit without keeping
-    the orbit.  The meter holds only the first and the last state.
+    the orbit.  The meter holds one state, the last, which it takes at the
+    start of each call, so the sample before it is already released while
+    this one is measured; of the first state it keeps only the pair norm
+    `norm_growth_ratio` needs.
     """
 
     def __init__(self, cutoffs, s: float, p: float, triples=(),
@@ -168,10 +171,13 @@ class OrbitMeter:
         self._phi = {(c, t): [] for c in self.cutoffs for t in self.triples}
         self._energies = {c: [] for c in self.cutoffs} if energies else {}
         self.count = 0
-        self.first: WaveState | None = None
+        self._initial: float | None = None
         self.last: WaveState | None = None
 
     def __call__(self, state: WaveState) -> None:
+        self.last = state
+        if self._initial is None:
+            self._initial = pair_sobolev_norm(state, self.s)
         grid = state.grid
         h = grid.n // 2
         iu = _workspace(grid, grid.n).half
@@ -186,9 +192,6 @@ class OrbitMeter:
             if self._energies:
                 self._energies[cutoff].append(
                     smoothed_energy(state, cutoff, self.s, self.p).total)
-        if self.first is None:
-            self.first = state
-        self.last = state
         self.count += 1
 
     def _series(self, table: dict, key) -> np.ndarray:
@@ -228,7 +231,7 @@ class OrbitMeter:
             raise DiagnosticsError("growth ratio needs at least 2 samples")
         s, p = self.s, self.p
         horizon = float(times[-1] - times[0])
-        initial = pair_sobolev_norm(self.first, s)
+        initial = self._initial
         final = pair_sobolev_norm(self.last, s)
         e_sup = self.energy_drift(cutoff).e_sup
         z_max = self.spacetime_report(times, cutoff).z_max
@@ -297,20 +300,29 @@ class BoundRatios:
 
 def initial_bound_ratios(state: WaveState, cutoff: float, params: PdeParams) -> BoundRatios:
     """Ratios of the smoothed-energy components to their data-norm predictions."""
+    return _bound_ratio_ladder(state, (cutoff,), params)[0]
+
+
+def _bound_ratio_ladder(state: WaveState, cutoffs, params: PdeParams) -> list[BoundRatios]:
+    """`initial_bound_ratios` at each cutoff; the data norms |u|_s, |v|_(s-1)
+    and |u|_(s_c) do not depend on the cutoff and are measured once."""
     s, p = params.s, params.p
-    breakdown, vel_num, grad_num = _smoothed(state, cutoff, s, p)
     norm_s = sobolev_norm(state.u, s)
     norm_v = sobolev_norm(state.v, s - 1.0)
     norm_crit = sobolev_norm(state.u, params.s_crit)
-    pot_num = (p + 1.0) * breakdown.potential
-    factor = cutoff ** (1.0 - s)
-    return BoundRatios(
-        gradient=_ratio(grad_num, factor * norm_s),
-        velocity=_ratio(vel_num, factor * norm_v),
-        potential=_ratio(pot_num, factor ** 2 * norm_s ** 2 * norm_crit ** (p - 1.0)),
-        energy=_ratio(breakdown.total,
-                      factor ** 2 * data_size((norm_s, norm_v), norm_crit, p)),
-    )
+    out = []
+    for cutoff in cutoffs:
+        breakdown, vel_num, grad_num = _smoothed(state, cutoff, s, p)
+        pot_num = (p + 1.0) * breakdown.potential
+        factor = cutoff ** (1.0 - s)
+        out.append(BoundRatios(
+            gradient=_ratio(grad_num, factor * norm_s),
+            velocity=_ratio(vel_num, factor * norm_v),
+            potential=_ratio(pot_num, factor ** 2 * norm_s ** 2 * norm_crit ** (p - 1.0)),
+            energy=_ratio(breakdown.total,
+                          factor ** 2 * data_size((norm_s, norm_v), norm_crit, p)),
+        ))
+    return out
 
 
 def norm_growth_ratio(traj: Trajectory, params: PdeParams, cutoff: float) -> GrowthReport:

@@ -28,7 +28,9 @@ and completes it; `linear_trajectory` takes each sample from it.
 Both runs hand each sampled state to an optional observer as it is made, and
 keep the states only with keep_states: an observer that measures each state
 (`diagnostics.OrbitMeter`) needs no kept orbit, and a run that keeps none is
-not held to the kept-state cap.
+not held to the kept-state cap.  Such a run holds one sampled state: it lets
+go of each sample before it builds the next, and `evolve` lets go of its
+input once it has copied the halves.
 """
 
 from __future__ import annotations
@@ -240,6 +242,8 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     interval evenly, so every observation lands exactly on a step boundary.
     The run must obey `step_plan`, its states counted only with keep_states.
     Non-finite values abort with BlowUpError and the offending time stamp.
+    The run releases its input state once the halves are copied, and each
+    sample before it builds the next.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
     grid = state.grid
@@ -251,6 +255,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     cos, sinc, neg_ksin = _rotation(grid, h)
     u = state.u.coeffs[..., :grid.n // 2].copy()
     v = state.v.coeffs[..., :grid.n // 2].copy()
+    del state  # the run reads only its halves, times and grid from here on
     u_next = np.empty_like(u)
     v_next = np.empty_like(v)
     states: list[WaveState] | None = [] if keep_states else None
@@ -287,6 +292,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
             v -= g
         if not np.isfinite(u).all() or not np.isfinite(v).all():
             raise BlowUpError(float(times[i]))
+        del current  # the last sample is released before the next is built
         current = snapshot(i)
     return Trajectory(times=times, states=states, final=current, h=h,
                       steps=n_samples * steps_per, kicks=kicks)
@@ -299,7 +305,8 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
     Its plan is `step_plan`'s at one step per interval, its states counted
     only with keep_states.  The first sample is `state` itself; each later
     one is `propagate_linear(state, t - state.t)`.  keep_states and observer
-    work as in `evolve`.
+    work as in `evolve`; each sample is released before the next is built,
+    and `state` is held throughout.
     """
     count, _, _ = step_plan(horizon, sample_interval, sample_interval,
                             state.grid if keep_states else None)
@@ -308,6 +315,7 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
     current = state
     for i, t in enumerate(times):
         if i:
+            del current  # the last sample is released before the next is built
             current = propagate_linear(state, float(t) - state.t)
         if states is not None:
             states.append(current)

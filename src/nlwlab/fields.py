@@ -355,9 +355,10 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
 
 def _sobolev(grid: Grid, c: np.ndarray, sigma: float) -> float:
     """`sobolev_norm` of full-layout coefficients, such as a workspace buffer."""
-    power = c.real * c.real + c.imag * c.imag
+    power = c.real * c.real
+    power += c.imag * c.imag
     if sigma != 0.0:
-        power = power * _symbol(grid, power_multiplier(2.0 * sigma))
+        power *= _symbol(grid, power_multiplier(2.0 * sigma))
     return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
 
 

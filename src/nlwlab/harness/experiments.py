@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import perturb, rescale, synthesize
-from ..diagnostics import OrbitMeter, _ratio, fit_loglog_slope, \
-    initial_bound_ratios, smoothed_energy
+from ..diagnostics import OrbitMeter, _bound_ratio_ladder, _ratio, \
+    fit_loglog_slope, smoothed_energy
 from ..dynamics import WaveState, evolve, linear_trajectory, pair_sobolev_norm, \
     pde_residual, state_difference
 from ..params import growth_exponents, composite_critical_exponent, \
@@ -123,11 +123,10 @@ def _slopes(name: str, xs, per_seed: dict):
 # Almost-conservation drift vs cutoff
 def _acl_cell(values: dict, seed: int) -> list:
     params = _pde(values)
-    state = synthesize(_recipe(values, seed), _grid(values))
     meter = OrbitMeter(values["acl.cutoffs"], params.s, params.p, energies=True)
-    evolve(state, values["acl.horizon"], _stepper(values),
-           sample_interval=values["acl.sample_interval"], keep_states=False,
-           observer=meter)
+    evolve(synthesize(_recipe(values, seed), _grid(values)), values["acl.horizon"],
+           _stepper(values), sample_interval=values["acl.sample_interval"],
+           keep_states=False, observer=meter)
     out = []
     for cutoff in values["acl.cutoffs"]:
         rep = meter.energy_drift(cutoff)
@@ -146,13 +145,11 @@ def _judge_acl(values: dict, measured: dict):
 # Smoothed-data bound ratios over an ensemble
 def _lemma_a_cell(values: dict, seed: int) -> list:
     params = _pde(values)
-    state = synthesize(_recipe(values, seed), _grid(values))
-    out = []
-    for cutoff in values["bounds.cutoffs"]:
-        ratios = initial_bound_ratios(state, cutoff, params)
-        out.append((cutoff, ratios.gradient, ratios.velocity,
-                    ratios.potential, ratios.energy))
-    return out
+    cutoffs = values["bounds.cutoffs"]
+    ladder = _bound_ratio_ladder(synthesize(_recipe(values, seed), _grid(values)),
+                                 cutoffs, params)
+    return [(cutoff, ratios.gradient, ratios.velocity, ratios.potential,
+             ratios.energy) for cutoff, ratios in zip(cutoffs, ladder)]
 
 
 def _judge_lemma_a(values: dict, measured: dict):
@@ -172,10 +169,10 @@ def _judge_lemma_a(values: dict, measured: dict):
 # Norm-increment bracket ratios over an ensemble
 def _lemma_b_cell(values: dict, seed: int) -> list:
     params = _pde(values)
-    state = synthesize(_recipe(values, seed), _grid(values))
     meter = OrbitMeter(values["bracket.cutoffs"], params.s, params.p,
                        reference_triples(params), energies=True)
-    traj = evolve(state, values["bracket.horizon"], _stepper(values),
+    traj = evolve(synthesize(_recipe(values, seed), _grid(values)),
+                  values["bracket.horizon"], _stepper(values),
                   sample_interval=values["bracket.sample_interval"],
                   keep_states=False, observer=meter)
     out = []
@@ -374,12 +371,12 @@ def _strichartz_cell(values: dict, seed: int) -> list:
     w0 = synthesize(_recipe(values, seed), _grid(values))
     cutoff = values["strichartz.cutoff"]
     meter = OrbitMeter((cutoff,), params.s, params.p, triples)
-    ltraj = linear_trajectory(w0, values["strichartz.horizon"],
+    times = linear_trajectory(w0, values["strichartz.horizon"],
                               values["strichartz.sample_interval"],
-                              keep_states=False, observer=meter)
+                              keep_states=False, observer=meter).times
     out = []
     for triple in triples:
-        z_value = meter.spacetime_norm(ltraj.times, triple, cutoff)
+        z_value = meter.spacetime_norm(times, triple, cutoff)
         data_norm = pair_sobolev_norm(w0, triple.m)
         out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
                     _ratio(z_value, data_norm)))
@@ -389,6 +386,7 @@ def _strichartz_cell(values: dict, seed: int) -> list:
                                 breakdown.potential, params.p,
                                 values["zbound.energy_target"])
     small = WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)
+    del w0
     meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True)
     ztraj = evolve(small, values["zbound.tau"], _stepper(values),
                    sample_interval=values["zbound.sample_interval"],

@@ -5,14 +5,18 @@ exact identities of the linear flow (isometry, commuting radial multipliers).
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from nlwlab.data import DataRecipe, synthesize
 from nlwlab.diagnostics import (
+    BoundRatios,
     DiagnosticsError,
     OrbitMeter,
+    _bound_ratio_ladder,
+    _ratio,
     _smoothed,
     energy_drift,
     fit_loglog_slope,
@@ -46,7 +50,7 @@ from nlwlab.fields import (
     to_physical,
     zero_field,
 )
-from nlwlab.params import INF, PdeParams, TripleMQR, reference_triples
+from nlwlab.params import INF, PdeParams, TripleMQR, data_size, reference_triples
 
 P4 = PdeParams(p=4.0, s=0.95)
 G3 = Grid(n=32, L=32.0, dim=3)
@@ -321,6 +325,27 @@ class TestInitialBoundRatios:
             for val in (r.gradient, r.velocity, r.potential, r.energy):
                 assert math.isfinite(val) and val > 0.0
 
+    def test_ladder_equals_per_cutoff_calls(self):
+        cutoffs = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+        s, p = P4.s, P4.p
+        zero = WaveState(u=zero_field(G3), v=zero_field(G3))
+        for w in (desk_state(seed=5), desk_state(seed=6, size=1.0), zero):
+            ladder = _bound_ratio_ladder(w, cutoffs, P4)
+            assert ladder == [initial_bound_ratios(w, c, P4) for c in cutoffs]
+            norm_s = sobolev_norm(w.u, s)
+            norm_v = sobolev_norm(w.v, s - 1.0)
+            norm_crit = sobolev_norm(w.u, P4.s_crit)
+            for cutoff, got in zip(cutoffs, ladder):
+                breakdown, velocity, gradient = _smoothed(w, cutoff, s, p)
+                factor = cutoff ** (1.0 - s)
+                assert got == BoundRatios(
+                    gradient=_ratio(gradient, factor * norm_s),
+                    velocity=_ratio(velocity, factor * norm_v),
+                    potential=_ratio((p + 1.0) * breakdown.potential,
+                                     factor ** 2 * norm_s ** 2 * norm_crit ** (p - 1.0)),
+                    energy=_ratio(breakdown.total, factor ** 2 * data_size(
+                        (norm_s, norm_v), norm_crit, p)))
+
 
 class TestNormGrowthRatio:
     def test_zero_trajectory_guard(self):
@@ -380,6 +405,38 @@ class TestOrbitMeter:
             assert np.array_equal(drift.energies, ref.energies)
             assert (meter.norm_growth_ratio(live.times, cutoff)
                     == norm_growth_ratio(kept, P4, cutoff))
+
+    @pytest.mark.parametrize("kind", ["evolve", "linear"])
+    @pytest.mark.parametrize("grid", [Grid(n=64, L=2.0 * math.pi, dim=1),
+                                      Grid(n=16, L=16.0, dim=3)], ids=["dim1", "dim3"])
+    def test_observed_run_holds_one_sampled_state(self, grid, kind):
+        recipe = DataRecipe(seed=7, s_target=0.95, k_min=0.5, k_max=2.5, size_hs=1.0)
+        meter = OrbitMeter((2.0, 4.0), P4.s, P4.p, reference_triples(P4), energies=True)
+        data, seen = [], []
+
+        def made():
+            w = synthesize(recipe, grid)
+            data.append(weakref.ref(w))
+            return w
+
+        def observer(state):
+            meter(state)
+            alive = [i for i, ref in enumerate(seen) if ref() is not None]
+            # every later sample of the free wave is propagated from sample 0,
+            # the run's input
+            assert alive == ([0] if kind == "linear" and seen else [])
+            if kind == "evolve" and seen:
+                assert data[0]() is None
+            assert meter.last is state
+            seen.append(weakref.ref(state))
+
+        if kind == "evolve":
+            evolve(made(), 0.5, StepperConfig(dt=1.0 / 32, p=4.0), sample_interval=0.125,
+                   keep_states=False, observer=observer)
+        else:
+            w = made()
+            linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=observer)
+        assert len(seen) == meter.count == 5
 
     def test_measures_only_what_it_was_given(self):
         meter = OrbitMeter((4.0, 4.0), P4.s, P4.p, reference_triples(P4)[:1])

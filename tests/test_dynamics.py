@@ -5,6 +5,7 @@ cubes); statistical checks use band-limited random data at amplitude O(1).
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -627,6 +628,22 @@ class TestLinearTrajectory:
         with pytest.raises(FieldError, match="kept states"):
             linear_trajectory(w, 1.0, 0.25)
         linear_trajectory(w, 1.0, 0.25, keep_states=False)
+
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_last_sample_released_before_the_next(self, grid, monkeypatch):
+        w = make_state(56, grid=grid, cutoff=0.45 if grid is G3 else 20.0)
+        seen = []
+        propagate = dynamics.propagate_linear
+
+        def spy(state, duration):
+            # only the input, sample 0, is alive while a later one is built
+            assert [ref() is not None for ref in seen] == [True] + [False] * (len(seen) - 1)
+            return propagate(state, duration)
+
+        monkeypatch.setattr(dynamics, "propagate_linear", spy)
+        linear_trajectory(w, 1.0, 0.25, keep_states=False,
+                          observer=lambda state: seen.append(weakref.ref(state)))
+        assert len(seen) == 5
 
 
 class TestConservation:

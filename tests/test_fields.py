@@ -273,7 +273,31 @@ class TestSmoothingProfile:
         assert np.max(np.abs(ratio[tail] - 1.0)) < 1e-12
 
 
+def sobolev_oracle(field, sigma):
+    """sqrt(L^dim sum (c.real c.real + c.imag c.imag) |k|^(2 sigma)), with |k|
+    built here from the axis wavenumbers and the zero mode weighted 0."""
+    grid, c = field.grid, field.coeffs
+    ax = grid.axis_wavenumbers()
+    if grid.dim == 1:
+        kmag = np.abs(ax)
+    else:
+        kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
+        kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
+    weight = np.where(kmag > 0.0, kmag, 1.0) ** (2.0 * sigma)
+    weight[kmag == 0.0] = 0.0
+    return math.sqrt(grid.L ** grid.dim
+                     * float(np.sum((c.real * c.real + c.imag * c.imag) * weight)))
+
+
 class TestSobolevNorm:
+    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    def test_equals_oracle_bit_for_bit(self, grid):
+        s = 0.95
+        for seed in range(3):
+            f = random_field(grid, seed, decay=1.5)
+            for sigma in (0.0, 1.0, s, s - 1.0):
+                assert sobolev_norm(f, sigma) == sobolev_oracle(f, sigma)
+
     def test_single_mode_closed_form(self):
         # amplitude A cosine at |k0|: norm = A |k0|^sigma sqrt(L^3 / 2)
         amp, sigma = 2.5, 0.7
