@@ -45,9 +45,7 @@ class DataRecipe:
     """Deterministic recipe for a rough pair (u, v) at position order s_target.
 
     size_hs fixes the position norm at order s_target; the velocity is
-    normalized to the same value at order s_target - 1.  size_crit is advisory
-    only: normalizing both orders at once is over-determined, so the critical
-    norm is measured and reported rather than enforced.  slope=None selects
+    normalized to the same value at order s_target - 1.  slope=None selects
     the shell-flat default -(s_target + dim/2) for the position (the velocity
     profile is always one power rougher).  window=True confines support to the
     centered half box via a quintic ramp before normalizing.
@@ -58,7 +56,6 @@ class DataRecipe:
     k_min: float
     k_max: float
     size_hs: float
-    size_crit: float | None = None
     slope: float | None = None
     window: bool = True
 
@@ -67,8 +64,6 @@ class DataRecipe:
             raise DataError(f"need 0 < k_min < k_max, got [{self.k_min}, {self.k_max}]")
         if not self.size_hs > 0.0:
             raise DataError(f"size_hs must be positive, got {self.size_hs}")
-        if self.size_crit is not None and not self.size_crit > 0.0:
-            raise DataError(f"size_crit must be positive when given, got {self.size_crit}")
         if not math.isfinite(self.s_target):
             raise DataError(f"s_target must be finite, got {self.s_target}")
 

@@ -159,8 +159,9 @@ class OrbitMeter:
     with keep_states=False gives their results bit for bit without keeping
     the orbit.  The meter holds one state, the last, which it takes at the
     start of each call, so the sample before it is already released while
-    this one is measured; of the first state it keeps only the pair norm
-    `norm_growth_ratio` needs.
+    this one is measured.  Of the first state it keeps only the pair norm
+    `norm_growth_ratio` reads, and only when it has both triples and
+    energies, the one kind of meter whose `norm_growth_ratio` can run.
     """
 
     def __init__(self, cutoffs, s: float, p: float, triples=(),
@@ -176,7 +177,7 @@ class OrbitMeter:
 
     def __call__(self, state: WaveState) -> None:
         self.last = state
-        if self._initial is None:
+        if self.count == 0 and self.triples and self._energies:
             self._initial = pair_sobolev_norm(state, self.s)
         grid = state.grid
         h = grid.n // 2

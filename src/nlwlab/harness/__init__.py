@@ -5,7 +5,6 @@ from .config import (
     EXPERIMENTS,
     ConfigError,
     build_config,
-    canonical_value,
     config_hash,
     parse_config_text,
     parse_overrides,
@@ -15,6 +14,7 @@ from .experiments import ExperimentResult, run_experiment, worker_count
 from .records import (
     SCHEMAS,
     RecordsError,
+    canonical_value,
     read_csv,
     rows_to_csv_text,
     schema_tag,

@@ -24,7 +24,7 @@ from ..data import DataError, DataRecipe, _dyadic_exponent
 from ..dynamics import StepperConfig, step_plan
 from ..fields import FieldError, Grid
 from ..params import ParamError, PdeParams, growth_exponents
-from .records import SCHEMAS
+from .records import SCHEMAS, canonical_value
 
 EXPERIMENTS = tuple(SCHEMAS)
 
@@ -328,19 +328,6 @@ def seed_list(values: dict) -> tuple[int, ...]:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
     return tuple(seeds)
-
-
-def canonical_value(value) -> str:
-    """Deterministic string form used for hashing and the JSON summary."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(canonical_value(v) for v in value)
-    return str(value)
 
 
 def config_hash(experiment: str, values: dict) -> str:

@@ -34,8 +34,8 @@ from ..dynamics import WaveState, evolve, linear_trajectory, pair_sobolev_norm, 
 from ..params import growth_exponents, composite_critical_exponent, \
     reference_triples
 from .config import ConfigError, _grid, _pde, _recipe, _stepper, \
-    canonical_value, config_hash, seed_list
-from .records import SCHEMAS, schema_tag
+    config_hash, seed_list
+from .records import SCHEMAS, canonical_value, schema_tag
 
 WORKERS_ENV = "NLWLAB_WORKERS"
 
@@ -440,7 +440,8 @@ def run_experiment(experiment: str, values: dict,
     seeds = seed_list(values)
     ordered = tuple(sorted(seeds))
     results = _run_cells(functools.partial(cell, values), ordered, workers)
-    rows = [dict(zip(SCHEMAS[experiment], (experiment, digest, seed) + tup))
+    rows = [dict(zip(SCHEMAS[experiment], (experiment, digest, seed) + tup,
+                     strict=True))
             for seed, tuples in zip(ordered, results) for tup in tuples]
     assertions, fits = judge(values, dict(zip(ordered, results)))
     passed = all(a["passed"] for a in assertions)

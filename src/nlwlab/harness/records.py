@@ -3,8 +3,8 @@
 One CSV row per (seed x sweep point), fixed column order per experiment,
 floats written with repr (shortest round-trip form) so identical runs emit
 byte-identical files.  Wall-clock duration deliberately lives in the JSON
-summary, never in the CSV, to keep the byte-identity guarantee.  Appending to
-an existing CSV is refused unless both the header and the config hash match.
+summary, never in the CSV, to keep the byte-identity guarantee.  Each write
+replaces the file whole, so a rerun of the same config leaves the same bytes.
 """
 
 from __future__ import annotations
@@ -44,14 +44,18 @@ def schema_tag(experiment: str) -> str:
     return f"{experiment}/{SCHEMA_VERSION}"
 
 
-def format_cell(value) -> str:
-    """Deterministic text form: repr for floats, str for ints, raw strings."""
+def canonical_value(value) -> str:
+    """Deterministic text form of a CSV cell, a config value and a hash line:
+    repr for floats, str for ints and strings, true/false for bools, and
+    comma-joined items for tuples."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(canonical_value(v) for v in value)
     return str(value)
 
 
@@ -81,46 +85,23 @@ def rows_to_csv_text(experiment: str, rows) -> str:
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([format_cell(row[c]) for c in columns])
+        writer.writerow([canonical_value(row[c]) for c in columns])
     return buf.getvalue()
 
 
-def write_csv(path, experiment: str, rows) -> Path:
-    """Write (or append to) the experiment CSV; mismatches are refused."""
+def _write_text(path, text: str, what: str) -> Path:
     path = Path(path)
-    text = rows_to_csv_text(experiment, rows)
-    header_line, body = text.split("\r\n", 1)
     try:
-        if path.exists():
-            with path.open("r", encoding="utf-8", newline="") as fh:
-                existing = fh.read()
-            lines = existing.split("\r\n")
-            if not lines or lines[0] != header_line:
-                raise RecordsError(
-                    f"{path}: existing header does not match schema "
-                    f"{schema_tag(experiment)}; refusing to append")
-            old_hash = _first_hash(lines)
-            new_hash = rows[0]["config_hash"]
-            if old_hash is not None and old_hash != new_hash:
-                raise RecordsError(
-                    f"{path}: existing records have config hash {old_hash}, "
-                    f"new records have {new_hash}; refusing to append")
-            with path.open("a", encoding="utf-8", newline="") as fh:
-                fh.write(body)
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
-        raise OSError(f"cannot write records to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
     return path
 
 
-def _first_hash(lines) -> str | None:
-    for line in lines[1:]:
-        if line:
-            return next(csv.reader([line]))[1]
-    return None
+def write_csv(path, experiment: str, rows) -> Path:
+    """Write the experiment CSV, replacing any earlier file."""
+    return _write_text(path, rows_to_csv_text(experiment, rows), "records")
 
 
 def read_csv(path) -> tuple[tuple[str, ...], list[dict[str, str]]]:
@@ -140,12 +121,7 @@ def read_csv(path) -> tuple[tuple[str, ...], list[dict[str, str]]]:
 
 
 def write_summary(path, summary: dict) -> Path:
-    """Write the JSON summary (sorted keys, trailing newline)."""
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write summary to {path}: {exc}") from exc
-    return path
+    """Write the JSON summary (sorted keys, trailing newline), replacing any
+    earlier file."""
+    return _write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                       "summary")

@@ -46,9 +46,6 @@ class TestRecipeValidation:
     def test_sizes_must_be_positive(self):
         with pytest.raises(DataError):
             DataRecipe(seed=0, s_target=0.95, k_min=0.2, k_max=1.0, size_hs=0.0)
-        with pytest.raises(DataError):
-            DataRecipe(seed=0, s_target=0.95, k_min=0.2, k_max=1.0, size_hs=1.0,
-                       size_crit=-1.0)
 
     def test_band_must_be_resolved(self):
         hot = DataRecipe(seed=0, s_target=0.95, k_min=0.2,

@@ -14,6 +14,7 @@ from nlwlab.data import DataRecipe, synthesize
 from nlwlab.diagnostics import (
     BoundRatios,
     DiagnosticsError,
+    GrowthReport,
     OrbitMeter,
     _bound_ratio_ladder,
     _ratio,
@@ -437,6 +438,37 @@ class TestOrbitMeter:
             w = made()
             linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=observer)
         assert len(seen) == meter.count == 5
+
+    @pytest.mark.parametrize("triples,energies", [
+        ((), True), (reference_triples(P4), False), (reference_triples(P4), True)],
+        ids=["acl", "linear", "lemma-b"])
+    def test_first_norm_only_where_growth_ratio_can_run(self, triples, energies,
+                                                        monkeypatch):
+        kept = linear_trajectory(desk_state(size=1.0), 0.5, 0.125)
+        calls = []
+
+        def spy(state, s):
+            calls.append(state.t)
+            return pair_sobolev_norm(state, s)
+
+        monkeypatch.setattr("nlwlab.diagnostics.pair_sobolev_norm", spy)
+        meter = OrbitMeter((4.0,), P4.s, P4.p, triples, energies)
+        for state in kept.states:
+            meter(state)
+        if not (triples and energies):
+            assert calls == []
+            return
+        assert calls == [0.0]
+        first, last = kept.states[0], kept.states[-1]
+        initial = pair_sobolev_norm(first, P4.s)
+        final = pair_sobolev_norm(last, P4.s)
+        e_sup = energy_drift(kept, 4.0, P4.s, P4.p).e_sup
+        z_max = spacetime_report(kept, P4, 4.0).z_max
+        bracket = (math.sqrt(e_sup) + 0.5 * e_sup ** (P4.p / (P4.p + 1.0))
+                   + z_max ** P4.p / 4.0 ** (0.5 * (5.0 - P4.p) + 1.0 - P4.s))
+        assert meter.norm_growth_ratio(kept.times, 4.0) == GrowthReport(
+            initial=initial, final=final, e_sup=e_sup, z_max=z_max, bracket=bracket,
+            ratio=_ratio(final - initial, bracket))
 
     def test_measures_only_what_it_was_given(self):
         meter = OrbitMeter((4.0, 4.0), P4.s, P4.p, reference_triples(P4)[:1])

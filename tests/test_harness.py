@@ -7,6 +7,7 @@ byte-identical records, worker independence, exit codes) stays fast to check.
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from nlwlab.harness.experiments import run_experiment, worker_count
 from nlwlab.harness.records import (
     SCHEMAS,
     RecordsError,
-    format_cell,
     read_csv,
     rows_to_csv_text,
     schema_tag,
@@ -323,6 +323,8 @@ class TestConfigHash:
         assert canonical_value(1.0 / 64) == "0.015625"
         assert canonical_value((2.0, 4.0)) == "2.0,4.0"
         assert canonical_value((0, 1)) == "0,1"
+        assert canonical_value(3) == "3"
+        assert canonical_value("linear") == "linear"
 
 
 class TestRecords:
@@ -333,12 +335,6 @@ class TestRecords:
 
     def test_schema_tag(self):
         assert schema_tag("acl") == "acl/1"
-
-    def test_format_cell(self):
-        assert format_cell(0.1) == "0.1"
-        assert format_cell(3) == "3"
-        assert format_cell(True) == "true"
-        assert format_cell("linear") == "linear"
 
     def test_validate_rejects_bad_shape(self):
         rows = self.make_rows()
@@ -372,26 +368,31 @@ class TestRecords:
         assert float(back[0]["drift"]) == 0.5
         assert back[1]["config_hash"] == "abc"
 
-    def test_append_same_hash(self, tmp_path):
-        path = tmp_path / "acl.csv"
+    @pytest.mark.parametrize("case", ["same_hash", "other_hash", "other_schema"])
+    def test_write_replaces_earlier_file(self, case, tmp_path):
+        path = tmp_path / "records.csv"
         write_csv(path, "acl", self.make_rows())
-        write_csv(path, "acl", self.make_rows())
-        _, back = read_csv(path)
-        assert len(back) == 4
+        experiment, rows = {
+            "same_hash": ("acl", self.make_rows()),
+            "other_hash": ("acl", self.make_rows(h="xyz")),
+            "other_schema": ("continuity", [
+                {"experiment": "continuity", "config_hash": "abc", "seed": 0,
+                 "eps": 0.1, "distance": 0.1}]),
+        }[case]
+        write_csv(path, experiment, rows)
+        assert path.read_bytes() == rows_to_csv_text(experiment, rows).encode("utf-8")
 
-    def test_append_refuses_other_hash(self, tmp_path):
-        path = tmp_path / "acl.csv"
-        write_csv(path, "acl", self.make_rows())
-        with pytest.raises(RecordsError):
-            write_csv(path, "acl", self.make_rows(h="xyz"))
-
-    def test_append_refuses_other_schema(self, tmp_path):
-        path = tmp_path / "mixed.csv"
-        write_csv(path, "acl", self.make_rows())
-        row = {"experiment": "continuity", "config_hash": "abc", "seed": 0,
-               "eps": 0.1, "distance": 0.1}
-        with pytest.raises(RecordsError):
-            write_csv(path, "continuity", [row])
+    @pytest.mark.parametrize("what", ["records", "summary"])
+    def test_write_error_names_the_path(self, what, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "out"
+        message = re.escape(f"cannot write {what} to {path}")
+        with pytest.raises(OSError, match=message):
+            if what == "records":
+                write_csv(path, "acl", self.make_rows())
+            else:
+                write_summary(path, {})
 
     def test_read_missing_and_empty(self, tmp_path):
         with pytest.raises(OSError):
@@ -475,6 +476,19 @@ class TestRunExperiment:
         b = run_experiment("continuity", values, workers=1)
         assert rows_to_csv_text("continuity", a.records) == \
             rows_to_csv_text("continuity", b.records)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_row_of_wrong_length_raises(self, extra, monkeypatch):
+        cell, judge = experiments._TABLE["continuity"]
+
+        def misshapen(values, seed):
+            return [tup + (0.0,) if extra > 0 else tup[:-1]
+                    for tup in cell(values, seed)]
+
+        monkeypatch.setitem(experiments._TABLE, "continuity", (misshapen, judge))
+        values = build_config("continuity", overrides=TINY_CONTINUITY)
+        with pytest.raises(ValueError):
+            run_experiment("continuity", values, workers=1)
 
     def test_growth_gate_fails_on_outgrown_envelope(self, monkeypatch):
         # negative control: an observed norm that doubles every sample
@@ -598,6 +612,35 @@ class TestCli:
         assert len(rows) == 3
         summary = json.loads((out_dir / "continuity_summary.json").read_text())
         assert summary["passed"] is True
+
+    def run_tiny_continuity(self, out_dir, seeds):
+        code = main(["continuity", "--out", str(out_dir), "--seeds", seeds,
+                     "--override", "continuity.eps=0.1,0.01,0.001",
+                     "--override", "continuity.t_star=0.25", "--workers", "1"])
+        csv_bytes = (out_dir / "continuity.csv").read_bytes()
+        summary = json.loads((out_dir / "continuity_summary.json").read_text())
+        return code, csv_bytes, summary
+
+    def test_rerun_replaces_outputs_with_same_bytes(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, first, summary = self.run_tiny_continuity(out_dir, "0,1")
+        assert code == 0
+        code, second, again = self.run_tiny_continuity(out_dir, "0,1")
+        assert code == 0
+        assert second == first
+        _, rows = read_csv(out_dir / "continuity.csv")
+        assert len(rows) == 6
+        del summary["duration_seconds"], again["duration_seconds"]
+        assert again == summary
+
+    def test_other_seeds_replace_outputs(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert self.run_tiny_continuity(out_dir, "0,1")[0] == 0
+        code, _, summary = self.run_tiny_continuity(out_dir, "2")
+        assert code == 0
+        _, rows = read_csv(out_dir / "continuity.csv")
+        assert {row["seed"] for row in rows} == {"2"}
+        assert summary["seeds"] == [2]
 
     def test_failing_experiment_exits_one(self, tmp_path, capsys):
         # zero headroom: no positive held-out ratio can meet it
