@@ -49,6 +49,7 @@ from .fields import (
     _make,
     _complete,
     _half_band,
+    _power,
     _samples,
     _workspace,
     power_multiplier,
@@ -180,15 +181,15 @@ def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> 
 
     Takes the full or the k_z < n/2 half coefficients of u and returns the
     half of the result (`fields._half_band`).  Runs in the cached (grid, m)
-    workspace; only the returned array is new.
+    workspace; only the returned array is new.  The samples u are multiplied
+    in place by |u|^(p-1) (`fields._power`): a whole p - 1 by IEEE products
+    (p = 4: u *= w; w *= w; u *= w with w = |u|), any other by `np.power`.
     """
     m = oversample * grid.n
     ws = _workspace(grid, m)
     u_phys = _samples(grid, ucoef, m, ws)
     w = np.abs(u_phys, out=ws.work)
-    np.power(w, p - 1.0, out=w)
-    u_phys *= w
-    return _half_band(grid, u_phys, ws)
+    return _half_band(grid, _power(w, p - 1.0, u_phys, times=True), ws)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:

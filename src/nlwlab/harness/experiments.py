@@ -5,9 +5,12 @@ parameters with the `config` builders that `build_config` checks, and returns
 one tuple per CSV row, in
 `records.SCHEMAS` order after the (experiment, config_hash, seed) prefix.
 Cells depend only on their arguments, so serial and parallel runs emit
-byte-identical records.  A judge, `judge(values, measured)`, takes every
-cell's rows as {seed: rows} in sorted seed order, from a config that
-`build_config` has checked, and returns the summary's assertions and fits.
+byte-identical records.  `_records` names each tuple's values by that schema,
+the one holder of column order, and the CSV and the judges read them by
+name.  A judge, `judge(values, measured)`, takes every cell's rows as
+{seed: rows} in sorted seed order, each row a {column: value} dict, from a
+config that `build_config` has checked, and returns the summary's assertions
+and fits.
 Judges share `_held_out`, the calibrate/hold-out protocol (a constant fitted
 on the first half of the sorted seeds bounds the second half with headroom),
 `_trend`, which adds that the held-out envelope has no cutoff trend, and
@@ -135,7 +138,7 @@ def _acl_cell(values: dict, seed: int) -> list:
 
 
 def _judge_acl(values: dict, measured: dict):
-    drifts = {s: [row[1] for row in rows] for s, rows in measured.items()}
+    drifts = {s: [row["drift"] for row in rows] for s, rows in measured.items()}
     monotone, fits = _slopes("drift_monotone_violations", values["acl.cutoffs"],
                              drifts)
     return [_assertion("median_drift_slope", fits["median_slope"],
@@ -156,9 +159,9 @@ def _judge_lemma_a(values: dict, measured: dict):
     cutoffs = values["bounds.cutoffs"]
     split = _split_half(tuple(measured))
     assertions, fits = [], {}
-    names = ("gradient", "velocity", "potential", "energy")
-    for idx, name in enumerate(names, start=1):
-        column = {s: [row[idx] for row in rows] for s, rows in measured.items()}
+    for name in ("gradient", "velocity", "potential", "energy"):
+        column = {s: [row[f"ratio_{name}"] for row in rows]
+                  for s, rows in measured.items()}
         checks, fits[name] = _trend(name, cutoffs, column, split,
                                     values["bounds.headroom"],
                                     values["bounds.trend_max"])
@@ -184,7 +187,7 @@ def _lemma_b_cell(values: dict, seed: int) -> list:
 
 
 def _judge_lemma_b(values: dict, measured: dict):
-    column = {s: [abs(row[5]) for row in rows] for s, rows in measured.items()}
+    column = {s: [abs(row["ratio"]) for row in rows] for s, rows in measured.items()}
     return _trend("bracket_ratio", values["bracket.cutoffs"], column,
                   _split_half(tuple(measured)),
                   values["bracket.headroom"], values["bracket.trend_max"])
@@ -227,8 +230,8 @@ def _judge_growth(values: dict, measured: dict):
         return _ratio(max(ratios[i] for i in held_idx),
                       max(ratios[i] for i in cal_idx))
 
-    ratios = {s: [row[3] for row in rows] for s, rows in measured.items()}
-    crit = {s: [row[4] for row in rows] for s, rows in measured.items()}
+    ratios = {s: [row["ratio"] for row in rows] for s, rows in measured.items()}
+    crit = {s: [row["ratio_crit"] for row in rows] for s, rows in measured.items()}
     params = _pde(values)
     fits = {"per_seed_margin": [[s, margin(r)] for s, r in ratios.items()],
             "per_seed_margin_crit": [[s, margin(r)] for s, r in crit.items()],
@@ -289,11 +292,13 @@ def _judge_scaling(values: dict, measured: dict):
     worst_crit = worst_hs = worst_corr = 0.0
     band_lo, band_hi = math.inf, 0.0
     for rows in measured.values():
-        for lam, crit_gap, hs_gap, corr, err_cal, res_b, res_r in rows:
-            worst_crit = max(worst_crit, crit_gap)
-            worst_hs = max(worst_hs, hs_gap)
-            worst_corr = max(worst_corr, _ratio(corr, err_cal))
-            res_ratio = _ratio(res_r, lam ** decay * res_b)
+        for row in rows:
+            worst_crit = max(worst_crit, row["crit_gap_rel"])
+            worst_hs = max(worst_hs, row["hs_gap_rel"])
+            worst_corr = max(worst_corr, _ratio(row["correspondence"],
+                                                row["calibration_error"]))
+            res_ratio = _ratio(row["residual_rescaled"],
+                               row["lam"] ** decay * row["residual_base"])
             band_lo = min(band_lo, res_ratio)
             band_hi = max(band_hi, res_ratio)
     band = values["scaling.residual_band"]
@@ -333,7 +338,7 @@ def _continuity_cell(values: dict, seed: int) -> list:
 
 
 def _judge_continuity(values: dict, measured: dict):
-    distances = {s: [row[1] for row in rows] for s, rows in measured.items()}
+    distances = {s: [row["distance"] for row in rows] for s, rows in measured.items()}
     monotone, fits = _slopes("distance_monotone_violations",
                              values["continuity.eps"], distances)
     return [monotone, _assertion("median_distance_slope", fits["median_slope"],
@@ -402,14 +407,14 @@ def _judge_strichartz(values: dict, measured: dict):
     headroom = values["strichartz.headroom"]
     assertions, fits = [], {}
     for j in range(len(reference_triples(_pde(values)))):
-        ratios = {s: [rows[j][6]] for s, rows in measured.items()}
+        ratios = {s: [rows[j]["ratio"]] for s, rows in measured.items()}
         bounded, fits[f"triple_{j}"] = _held_out(
             f"linear_ratio_triple_{j}_bounded", ratios, split, headroom)
         assertions.append(bounded)
-    z_max = {s: [rows[-1][4]] for s, rows in measured.items()}
+    z_max = {s: [rows[-1]["value"]] for s, rows in measured.items()}
     bounded, fits["zbound"] = _held_out("zbound_held_out_bounded", z_max, split,
                                         headroom)
-    e_worst = max(rows[-1][5] for rows in measured.values())
+    e_worst = max(rows[-1]["reference"] for rows in measured.values())
     fits["zbound"]["energy_sup"] = e_worst
     assertions += [bounded, _assertion("zbound_energy_cap", e_worst,
                                        values["zbound.energy_cap"], "<=")]
@@ -427,6 +432,16 @@ _TABLE = {
 }
 
 
+def _records(experiment: str, digest: str, seeds: tuple, results: list) -> dict:
+    """Each seed's rows as {column: value} dicts: `records.SCHEMAS` names the
+    (experiment, config_hash, seed) prefix and then the cell's tuple, value
+    by value; a tuple of the wrong length raises ValueError."""
+    columns = SCHEMAS[experiment]
+    return {seed: [dict(zip(columns, (experiment, digest, seed) + tup, strict=True))
+                   for tup in tuples]
+            for seed, tuples in zip(seeds, results)}
+
+
 def run_experiment(experiment: str, values: dict,
                    workers: int | None = None) -> ExperimentResult:
     """Run one experiment from resolved config values; pure and deterministic
@@ -440,10 +455,9 @@ def run_experiment(experiment: str, values: dict,
     seeds = seed_list(values)
     ordered = tuple(sorted(seeds))
     results = _run_cells(functools.partial(cell, values), ordered, workers)
-    rows = [dict(zip(SCHEMAS[experiment], (experiment, digest, seed) + tup,
-                     strict=True))
-            for seed, tuples in zip(ordered, results) for tup in tuples]
-    assertions, fits = judge(values, dict(zip(ordered, results)))
+    measured = _records(experiment, digest, ordered, results)
+    rows = [row for seed_rows in measured.values() for row in seed_rows]
+    assertions, fits = judge(values, measured)
     passed = all(a["passed"] for a in assertions)
     summary = {
         "experiment": experiment,

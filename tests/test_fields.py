@@ -6,6 +6,7 @@ and the closed-form norms of single cosine modes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nlwlab.fields import (
     _complete,
     _half_band,
     _oversampled_size,
+    _power,
     _resize,
     _reverse_indices,
     _samples,
@@ -39,7 +41,7 @@ from nlwlab.fields import (
     zero_field,
 )
 from nlwlab.diagnostics import OrbitMeter
-from nlwlab.dynamics import WaveState
+from nlwlab.dynamics import WaveState, nonlinear_term
 from nlwlab.params import TripleMQR
 from test_spectral_reference import block_slices, reference_band, reference_samples
 
@@ -374,12 +376,101 @@ class TestLebesgueNorm:
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [5.0, 5.3])
     def test_workspace_matches_unpruned_formula_bit_for_bit(self, grid, factor, r):
+        # a whole r is formed by products in the documented order,
+        # |u| (|u|^2 |u|^2); any other by numpy's pow kernel
         f = random_field(grid, 15, decay=1.0)
         w = np.abs(reference_samples(grid, f.coeffs, factor * grid.n))
-        np.power(w, r, out=w)
+        if r == 5.0:
+            w = w * ((w * w) * (w * w))
+        else:
+            np.power(w, r, out=w)
         expected = float(grid.L ** grid.dim / w.size * np.sum(w)) ** (1.0 / r)
         assert lebesgue_norm(f, r, factor) == expected
         assert lebesgue_norm(f, r, factor) == expected  # the reused workspace
+
+
+class TestPower:
+    """`_power`: whole exponents by IEEE products in a fixed order, any other
+    by `np.power`, always in place."""
+
+    @staticmethod
+    def factors(w, k):
+        """The factors of w^k in the documented order: the squares w^(2^j) of
+        the set bits of k, lowest first, each written out as products."""
+        w2 = w * w
+        w4 = w2 * w2
+        w8 = w4 * w4
+        return {0: (), 1: (w,), 2: (w2,), 3: (w, w2), 4: (w4,), 5: (w, w4),
+                6: (w2, w4), 7: (w, w2, w4), 8: (w8,), 9: (w, w8)}[k]
+
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(41)
+        return rng.uniform(0.0, 3.0, 4096), rng.standard_normal(4096)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_whole_exponent_is_written_out_products(self, k):
+        w, u = self.samples()
+        f = self.factors(w, k)
+        alone = np.ones_like(w) if k == 0 else f[0]
+        for x in f[1:]:
+            alone = alone * x
+        times = u
+        for x in f:
+            times = times * x
+        assert np.array_equal(_power(w.copy(), float(k), np.empty_like(w), False), alone)
+        assert np.array_equal(_power(w.copy(), float(k), u.copy(), True), times)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_whole_exponent_within_k_ulps_of_np_power(self, k):
+        w, u = self.samples()
+        w = w[w > 0.0]
+        ref = np.power(w, float(k))
+        got = _power(w.copy(), float(k), np.empty_like(w), False)
+        assert np.max(np.abs(got - ref) / ref) <= k * 2.0 ** -52
+        got = _power(w.copy(), float(k), np.ones_like(w), True)
+        assert np.max(np.abs(got - ref) / ref) <= k * 2.0 ** -52
+
+    @pytest.mark.parametrize("e", [5.0, 5.3])
+    @pytest.mark.parametrize("times", [False, True], ids=["alone", "times"])
+    def test_writes_in_place_with_no_new_array(self, e, times):
+        w, u = self.samples()
+        w, out = np.tile(w, 64), np.tile(u, 64)
+        tracemalloc.start()
+        try:
+            got = _power(w, e, out, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert peak < w.nbytes // 8
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        original = np.power
+
+        def power(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "power", power)
+        return calls
+
+    @pytest.mark.parametrize("p,expected", [(4.0, []), (4.3, [4.3 - 1.0])])
+    def test_kick_calls_np_power_only_for_fractional_p(self, p, expected, monkeypatch):
+        u = random_field(G3, 42, decay=1.0)
+        calls = self.spy(monkeypatch)
+        nonlinear_term(u, p, 2)
+        assert calls == expected
+
+    @pytest.mark.parametrize("r,expected", [(5.0, []), (5.3, [5.3])])
+    def test_quadrature_calls_np_power_only_for_fractional_r(self, r, expected,
+                                                             monkeypatch):
+        f = random_field(G3, 43, decay=1.0)
+        calls = self.spy(monkeypatch)
+        lebesgue_norm(f, r, 2)
+        assert calls == expected
 
 
 def oversampled_values(field, factor):

@@ -490,6 +490,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment("continuity", values, workers=1)
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_judges_read_columns_by_name(self, name, monkeypatch):
+        # rotate the experiment's own columns, in its schema and in every
+        # tuple its cell returns: the records, assertions and fits stay put
+        cell, judge = experiments._TABLE[name]
+        values = build_config(name, overrides=SHRUNK[name])
+        tuples = {seed: cell(values, seed) for seed in seed_list(values)}
+        monkeypatch.setitem(experiments._TABLE, name,
+                            (lambda _, seed: tuples[seed], judge))
+        plain = run_experiment(name, values, workers=1)
+        prefix, own = SCHEMAS[name][:3], SCHEMAS[name][3:]
+        monkeypatch.setitem(SCHEMAS, name, prefix + own[1:] + own[:1])
+        monkeypatch.setitem(
+            experiments._TABLE, name,
+            (lambda _, seed: [t[1:] + t[:1] for t in tuples[seed]], judge))
+        rotated = run_experiment(name, values, workers=1)
+        assert rotated.records == plain.records
+        assert rotated.summary["assertions"] == plain.summary["assertions"]
+        assert rotated.summary["fits"] == plain.summary["fits"]
+
     def test_growth_gate_fails_on_outgrown_envelope(self, monkeypatch):
         # negative control: an observed norm that doubles every sample
         # outgrows both envelopes, which are nearly flat below T = 1
