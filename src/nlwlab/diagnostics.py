@@ -157,11 +157,8 @@ class OrbitMeter:
     sample `times`; those functions feed a meter from a kept trajectory's
     states, so passing one as `observer=` to `evolve` or `linear_trajectory`
     with keep_states=False gives their results bit for bit without keeping
-    the orbit.  The meter holds one state, the last, which it takes at the
-    start of each call, so the sample before it is already released while
-    this one is measured.  Of the first state it keeps only the pair norm
-    `norm_growth_ratio` reads, and only when it has both triples and
-    energies, the one kind of meter whose `norm_growth_ratio` can run.
+    the orbit.  The meter keeps numbers only, no state: `norm_growth_ratio`
+    takes the pair norms at the first and the last sample from its caller.
     """
 
     def __init__(self, cutoffs, s: float, p: float, triples=(),
@@ -172,13 +169,8 @@ class OrbitMeter:
         self._phi = {(c, t): [] for c in self.cutoffs for t in self.triples}
         self._energies = {c: [] for c in self.cutoffs} if energies else {}
         self.count = 0
-        self._initial: float | None = None
-        self.last: WaveState | None = None
 
     def __call__(self, state: WaveState) -> None:
-        self.last = state
-        if self.count == 0 and self.triples and self._energies:
-            self._initial = pair_sobolev_norm(state, self.s)
         grid = state.grid
         h = grid.n // 2
         iu = _workspace(grid, grid.n).half
@@ -226,14 +218,14 @@ class OrbitMeter:
         drift = float(np.max(np.abs(energies - energies[0])))
         return DriftReport(drift=drift, e_sup=float(np.max(energies)), energies=energies)
 
-    def norm_growth_ratio(self, times: np.ndarray, cutoff: float) -> GrowthReport:
-        """See `norm_growth_ratio`; z_max is over the meter's triples."""
+    def norm_growth_ratio(self, times: np.ndarray, cutoff: float, initial: float,
+                          final: float) -> GrowthReport:
+        """See `norm_growth_ratio`, given the pair norms at the first and the
+        last sample; z_max is over the meter's triples."""
         if self.count < 2:
             raise DiagnosticsError("growth ratio needs at least 2 samples")
         s, p = self.s, self.p
         horizon = float(times[-1] - times[0])
-        initial = self._initial
-        final = pair_sobolev_norm(self.last, s)
         e_sup = self.energy_drift(cutoff).e_sup
         z_max = self.spacetime_report(times, cutoff).z_max
         bracket = (math.sqrt(e_sup) + horizon * e_sup ** (p / (p + 1.0))
@@ -335,7 +327,8 @@ def norm_growth_ratio(traj: Trajectory, params: PdeParams, cutoff: float) -> Gro
     """
     meter = _metered(traj, cutoff, params.s, params.p, reference_triples(params),
                      energies=True)
-    return meter.norm_growth_ratio(traj.times, cutoff)
+    initial, final = (pair_sobolev_norm(w, params.s) for w in (traj.states[0], traj.final))
+    return meter.norm_growth_ratio(traj.times, cutoff, initial, final)
 
 
 # ---------------------------------------------------------------------------

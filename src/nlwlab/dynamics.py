@@ -23,20 +23,21 @@ conjugate reflection of the kept one.  Each sampled state is completed to
 the full layout once.  One cache (`_rotation`) holds the rotation symbols,
 and only their k_z < n/2 halves: `evolve` rotates its halves in place with
 them, and `propagate_linear`, the exact free wave, rotates a state's half
-and completes it; `linear_trajectory` takes each sample from it.
+and completes it; `linear_trajectory` steps each sample from the last.
 
 Both runs hand each sampled state to an optional observer as it is made, and
 keep the states only with keep_states: an observer that measures each state
 (`diagnostics.OrbitMeter`) needs no kept orbit, and a run that keeps none is
-not held to the kept-state cap.  Such a run holds one sampled state: it lets
-go of each sample before it builds the next, and `evolve` lets go of its
-input once it has copied the halves.
+not held to the kept-state cap.  Such a run holds one sampled state:
+`evolve` lets go of its input once it has copied the halves and of each
+sample before it builds the next, `linear_trajectory` of each sample, the
+input first, once it has built the next from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -138,7 +139,9 @@ def state_difference(a: WaveState, b: WaveState) -> WaveState:
 # Linear propagation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
+# Sized to the runs of one cell, each of which rotates by one duration: the
+# most, four a seed, are `scaling`'s h and h/2, and lambda h on each rescaled grid.
+@lru_cache(maxsize=4)
 def _rotation(grid: Grid, duration: float):
     """The k_z < n/2 halves, contiguous, of cos(|k| t), sin(|k| t)/|k| (t at
     k=0) and -|k| sin(|k| t): the symbols are computed on the full grid and
@@ -305,24 +308,24 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
 
     Its plan is `step_plan`'s at one step per interval, its states counted
     only with keep_states.  The first sample is `state` itself; each later
-    one is `propagate_linear(state, t - state.t)`.  keep_states and observer
-    work as in `evolve`; each sample is released before the next is built,
-    and `state` is held throughout.
+    one is `propagate_linear(previous sample, sample_interval)` at the time
+    times[i], so the run rotates by one duration.  keep_states and observer
+    work as in `evolve`; the run lets go of `state` after sample 0, and while
+    a sample is built only the one before it is alive.
     """
     count, _, _ = step_plan(horizon, sample_interval, sample_interval,
                             state.grid if keep_states else None)
     times = state.t + sample_interval * np.arange(count + 1)
     states: list[WaveState] | None = [] if keep_states else None
-    current = state
     for i, t in enumerate(times):
         if i:
-            del current  # the last sample is released before the next is built
-            current = propagate_linear(state, float(t) - state.t)
+            # `state` is the last sample, let go once the next is built from it
+            state = replace(propagate_linear(state, sample_interval), t=float(t))
         if states is not None:
-            states.append(current)
+            states.append(state)
         if observer is not None:
-            observer(current)
-    return Trajectory(times=times, states=states, final=current)
+            observer(state)
+    return Trajectory(times=times, states=states, final=state)
 
 
 # ---------------------------------------------------------------------------

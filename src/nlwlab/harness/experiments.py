@@ -174,13 +174,16 @@ def _lemma_b_cell(values: dict, seed: int) -> list:
     params = _pde(values)
     meter = OrbitMeter(values["bracket.cutoffs"], params.s, params.p,
                        reference_triples(params), energies=True)
-    traj = evolve(synthesize(_recipe(values, seed), _grid(values)),
-                  values["bracket.horizon"], _stepper(values),
+    data = [synthesize(_recipe(values, seed), _grid(values))]
+    initial = pair_sobolev_norm(data[0], params.s)
+    # popped into the call, so the run can let go of its input
+    traj = evolve(data.pop(), values["bracket.horizon"], _stepper(values),
                   sample_interval=values["bracket.sample_interval"],
                   keep_states=False, observer=meter)
+    final = pair_sobolev_norm(traj.final, params.s)
     out = []
     for cutoff in values["bracket.cutoffs"]:
-        rep = meter.norm_growth_ratio(traj.times, cutoff)
+        rep = meter.norm_growth_ratio(traj.times, cutoff, initial, final)
         out.append((cutoff, rep.initial, rep.final, rep.e_sup, rep.z_max,
                     rep.ratio))
     return out

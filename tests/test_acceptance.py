@@ -1,4 +1,4 @@
-"""Release gate: ten end-to-end checks, one printed verdict line each.
+"""Release gate: eleven end-to-end checks, one printed verdict line each.
 
 Each test emits a single [PASS]/[FAIL] line outside pytest's capture
 before asserting, so any pytest invocation of this file reads as a live
@@ -311,6 +311,10 @@ def test_09_spacetime_bounds():
     assert _report("09 space-time bounds", result.passed, detail), detail
 
 
+# Small configs of all seven experiments, for test 10 and the golden files.
+# The lemma-b one fails bracket_ratio_held_out_bounded, because its
+# calibration half (seeds 0 and 1) is small, and the lemma-a one fails
+# potential_trend_free; tests 05 and 11 gate both at their defaults.
 SHRUNK = {
     "acl": ["acl.cutoffs=2,4,8", "acl.horizon=0.5", "seeds=0,1"],
     "lemma-a": ["ensemble.count=8", "bounds.cutoffs=2,4,8"],
@@ -350,3 +354,30 @@ def test_10_determinism():
     detail = ("7/7 experiments byte-identical on re-run; parallel == serial"
               if ok else f"mismatches: {', '.join(mismatches)}")
     assert _report("10 determinism", ok, detail), detail
+
+
+def test_11_norm_increment_bracket():
+    # the pair-norm increment over [0, T] against the bracket
+    # sup E^(1/2) + T sup E^(p/(p+1)) + z_max^p / N^((5-p)/2+1-s): the
+    # calibration half's |ratio| bounds the held-out half with 1.5x
+    # headroom, with no cutoff trend; the line names the term that is the
+    # largest in most rows, which is what the gate bounds at these defaults
+    result = _experiment("lemma-b")
+    checks = _assertion_map(result)
+    held = checks["bracket_ratio_held_out_bounded"]
+    trend = checks["bracket_ratio_trend_free"]
+    values = result.summary["config"]
+    p, s = float(values["pde.p"]), float(values["pde.s"])
+    horizon = float(values["bracket.horizon"])
+    names = ("sup E^(1/2)", "T sup E^(p/(p+1))", "z_max^p / N^((5-p)/2+1-s)")
+    wins = dict.fromkeys(names, 0)
+    for row in result.records:
+        terms = (math.sqrt(row["e_sup"]), horizon * row["e_sup"] ** (p / (p + 1.0)),
+                 row["z_max"] ** p / row["cutoff"] ** (0.5 * (5.0 - p) + 1.0 - s))
+        wins[names[terms.index(max(terms))]] += 1
+    dominant = max(wins, key=wins.get)
+    detail = (f"held-out |ratio| {held['value']:.4f} <= {held['threshold']:.4f}, "
+              f"|trend| {trend['value']:.3f} <= {trend['threshold']} over "
+              f"{len(result.summary['seeds'])} seeds; {dominant} dominates "
+              f"{wins[dominant]}/{len(result.records)} rows")
+    assert _report("11 norm-increment bracket", result.passed, detail), detail

@@ -395,6 +395,8 @@ class TestOrbitMeter:
             kept = linear_trajectory(w, 0.5, 0.125)
             live = linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=meter)
         assert live.states is None and meter.count == len(kept.states) == 5
+        # the data and the last sample, as the lemma-b cell measures them
+        initial, final = (pair_sobolev_norm(x, P4.s) for x in (w, live.final))
         for cutoff in cutoffs:
             for triple in triples:
                 assert (meter.spacetime_norm(live.times, triple, cutoff)
@@ -404,7 +406,7 @@ class TestOrbitMeter:
             drift, ref = meter.energy_drift(cutoff), energy_drift(kept, cutoff, P4.s, P4.p)
             assert (drift.drift, drift.e_sup) == (ref.drift, ref.e_sup)
             assert np.array_equal(drift.energies, ref.energies)
-            assert (meter.norm_growth_ratio(live.times, cutoff)
+            assert (meter.norm_growth_ratio(live.times, cutoff, initial, final)
                     == norm_growth_ratio(kept, P4, cutoff))
 
     @pytest.mark.parametrize("kind", ["evolve", "linear"])
@@ -422,28 +424,25 @@ class TestOrbitMeter:
 
         def observer(state):
             meter(state)
-            alive = [i for i, ref in enumerate(seen) if ref() is not None]
-            # every later sample of the free wave is propagated from sample 0,
-            # the run's input
-            assert alive == ([0] if kind == "linear" and seen else [])
-            if kind == "evolve" and seen:
+            # no earlier sample, the input included, is alive
+            assert all(ref() is None for ref in seen)
+            if seen:
                 assert data[0]() is None
-            assert meter.last is state
             seen.append(weakref.ref(state))
 
         if kind == "evolve":
             evolve(made(), 0.5, StepperConfig(dt=1.0 / 32, p=4.0), sample_interval=0.125,
                    keep_states=False, observer=observer)
         else:
-            w = made()
-            linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=observer)
+            linear_trajectory(made(), 0.5, 0.125, keep_states=False, observer=observer)
         assert len(seen) == meter.count == 5
+        # the run's result is dropped, and the meter, still alive, holds no state
+        assert seen[-1]() is None
 
     @pytest.mark.parametrize("triples,energies", [
         ((), True), (reference_triples(P4), False), (reference_triples(P4), True)],
         ids=["acl", "linear", "lemma-b"])
-    def test_first_norm_only_where_growth_ratio_can_run(self, triples, energies,
-                                                        monkeypatch):
+    def test_no_meter_measures_a_pair_norm(self, triples, energies, monkeypatch):
         kept = linear_trajectory(desk_state(size=1.0), 0.5, 0.125)
         calls = []
 
@@ -455,20 +454,19 @@ class TestOrbitMeter:
         meter = OrbitMeter((4.0,), P4.s, P4.p, triples, energies)
         for state in kept.states:
             meter(state)
+        assert calls == []
         if not (triples and energies):
-            assert calls == []
             return
-        assert calls == [0.0]
-        first, last = kept.states[0], kept.states[-1]
-        initial = pair_sobolev_norm(first, P4.s)
-        final = pair_sobolev_norm(last, P4.s)
+        initial = pair_sobolev_norm(kept.states[0], P4.s)
+        final = pair_sobolev_norm(kept.final, P4.s)
         e_sup = energy_drift(kept, 4.0, P4.s, P4.p).e_sup
         z_max = spacetime_report(kept, P4, 4.0).z_max
         bracket = (math.sqrt(e_sup) + 0.5 * e_sup ** (P4.p / (P4.p + 1.0))
                    + z_max ** P4.p / 4.0 ** (0.5 * (5.0 - P4.p) + 1.0 - P4.s))
-        assert meter.norm_growth_ratio(kept.times, 4.0) == GrowthReport(
+        assert meter.norm_growth_ratio(kept.times, 4.0, initial, final) == GrowthReport(
             initial=initial, final=final, e_sup=e_sup, z_max=z_max, bracket=bracket,
             ratio=_ratio(final - initial, bracket))
+        assert calls == []
 
     def test_measures_only_what_it_was_given(self):
         meter = OrbitMeter((4.0, 4.0), P4.s, P4.p, reference_triples(P4)[:1])

@@ -606,16 +606,27 @@ class TestLinearTrajectory:
             linear_trajectory(make_state(53), 1.0, interval)
 
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
-    def test_states_are_the_exact_propagator_bit_for_bit(self, grid):
+    def test_each_sample_is_the_propagator_of_the_one_before(self, grid):
         w = make_state(54, grid=grid, cutoff=0.45 if grid is G3 else 20.0)
         w = WaveState(u=w.u, v=w.v, t=0.375)
         traj = linear_trajectory(w, 1.0, 0.25)
         assert traj.states[0] is w and traj.final is traj.states[-1]
-        for t, s in zip(traj.times[1:], traj.states[1:]):
-            ref = rotate_full(w, float(t) - w.t)
-            assert s.t == ref.t
+        for t, prev, s in zip(traj.times[1:], traj.states, traj.states[1:]):
+            ref = rotate_full(prev, 0.25)
+            assert s.t == t
             assert np.array_equal(s.u.coeffs, ref.u.coeffs)
             assert np.array_equal(s.v.coeffs, ref.v.coeffs)
+
+    def test_long_orbit_rotates_by_one_cached_duration(self):
+        # 65 samples, one rotation symbol: the second run misses nothing
+        w = make_state(57)
+        dynamics._rotation.cache_clear()
+        linear_trajectory(w, 4.0, 1.0 / 16, keep_states=False)
+        first = dynamics._rotation.cache_info()
+        linear_trajectory(w, 4.0, 1.0 / 16, keep_states=False)
+        second = dynamics._rotation.cache_info()
+        assert first.currsize == second.currsize == 1
+        assert second.misses - first.misses == 0
 
     def test_observed_run_keeps_nothing(self, monkeypatch):
         w = make_state(55)
@@ -638,18 +649,23 @@ class TestLinearTrajectory:
 
     @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
     def test_last_sample_released_before_the_next(self, grid, monkeypatch):
-        w = make_state(56, grid=grid, cutoff=0.45 if grid is G3 else 20.0)
         seen = []
         propagate = dynamics.propagate_linear
 
         def spy(state, duration):
-            # only the input, sample 0, is alive while a later one is built
-            assert [ref() is not None for ref in seen] == [True] + [False] * (len(seen) - 1)
+            # only the sample before it is alive while the next is built
+            assert [ref() is not None for ref in seen] == [False] * (len(seen) - 1) + [True]
+            assert state is seen[-1]() and duration == 0.25
             return propagate(state, duration)
 
+        def observer(state):
+            # no earlier sample, the input included, outlives the next
+            assert all(ref() is None for ref in seen)
+            seen.append(weakref.ref(state))
+
         monkeypatch.setattr(dynamics, "propagate_linear", spy)
-        linear_trajectory(w, 1.0, 0.25, keep_states=False,
-                          observer=lambda state: seen.append(weakref.ref(state)))
+        linear_trajectory(make_state(56, grid=grid, cutoff=0.45 if grid is G3 else 20.0),
+                          1.0, 0.25, keep_states=False, observer=observer)
         assert len(seen) == 5
 
 
