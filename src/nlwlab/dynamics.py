@@ -49,9 +49,10 @@ from .fields import (
     _kmag,
     _make,
     _complete,
-    _half_band,
+    _fold_half,
+    _fold_slab,
     _power,
-    _samples,
+    _sample_slabs,
     _workspace,
     power_multiplier,
     apply_multiplier,
@@ -183,16 +184,19 @@ def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> 
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back.
 
     Takes the full or the k_z < n/2 half coefficients of u and returns the
-    half of the result (`fields._half_band`).  Runs in the cached (grid, m)
-    workspace; only the returned array is new.  The samples u are multiplied
-    in place by |u|^(p-1) (`fields._power`): a whole p - 1 by IEEE products
-    (p = 4: u *= w; w *= w; u *= w with w = |u|), any other by `np.power`.
+    half of the result (`fields._fold_half`).  Runs in the cached (grid, m)
+    workspace, one slab of x-planes at a time (eight at m > n in 3-D): each
+    slab's samples u are multiplied in place by |u|^(p-1) (`fields._power`)
+    and transformed back into the slab's rows (`fields._fold_slab`) before
+    the next slab is sampled.  Only the returned array is new.  A whole p - 1
+    runs by IEEE products (p = 4: u *= w; w *= w; u *= w with w = |u|), any
+    other by `np.power`.
     """
     m = oversample * grid.n
     ws = _workspace(grid, m)
-    u_phys = _samples(grid, ucoef, m, ws)
-    w = np.abs(u_phys, out=ws.work)
-    return _half_band(grid, _power(w, p - 1.0, u_phys, times=True), ws)
+    for rows, u in _sample_slabs(grid, ucoef, m, ws):
+        _fold_slab(grid, _power(np.abs(u, out=ws.work), p - 1.0, u, times=True), rows, ws)
+    return _fold_half(grid, ws)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:

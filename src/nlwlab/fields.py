@@ -12,7 +12,7 @@ integer vectors.  Three conventions hold for every field in the package:
 
 Transforms act on real data, so they run real-to-complex from the half
 spectrum (k_z < n/2 on the last axis; the k_z = n/2 Nyquist plane is zero).
-`_samples` reads only that half, so it takes a full or a half array.
+`_sample_slabs` reads only that half, so it takes a full or a half array.
 `_half_band` returns that half: its k_z = 0 plane, which the dropped k_z < 0
 half shares, is replaced by its Hermitian part, and the mean and the Nyquist
 planes are zeroed.  `_complete` rebuilds the full fftn layout from such a
@@ -27,10 +27,21 @@ half.
 
 Every transform runs in a workspace: the buffers of `_workspace(grid, m)`
 for its m-point samples, built once per process.  Every intermediate step
-writes into them through numpy's `out=`, so the nonlinear kick
+writes into them through numpy's `out=`.  The physical-space step is
+pointwise and every step after the axis-0 inverse is independent per
+x-plane, so an oversampled 3-D pass (m > n) streams its m x-planes in eight
+slabs: the axis-0 inverse runs once, into an (m, n, n/2) buffer, and each
+slab is then sampled (`_sample_slabs`), handed to the caller and, in the
+kick, transformed back into its own rows of that buffer (`_fold_slab`);
+the axis-0 forward transform runs once more at the end (`_fold_half`).  A
+pass at m = n, and any pass in dim 1, is one slab.  Every per-row transform
+is the one the whole-array pass runs, so the results are the same bits,
+and the workspace holds no m^3 array: 1.1 MiB at n = 32, m = 64, against
+5.6 MiB for whole m^3 buffers.  So the nonlinear kick
 (`dynamics._nonlinear_raw`) allocates only the half it returns, and the
-quadrature behind `lebesgue_norm` (`_quadrature`) allocates nothing.  The
-per-state measurements of `diagnostics` allocate no field either:
+quadrature behind `lebesgue_norm` (`_quadrature`) allocates nothing but its
+eight slab sums.  The per-state measurements of `diagnostics` allocate no
+field either:
 `diagnostics.OrbitMeter` (behind `spacetime_norm`) writes each state's
 multiplied k_z < n/2 half into the factor-1 workspace's `half` buffer and
 runs `_quadrature` from there, and the smoothed energy writes I v, then
@@ -46,11 +57,11 @@ above coincides with the grid L2 norm at sigma = 0.  Lebesgue norms are
 uniform-grid quadrature of |u|^r.
 
 Pointwise powers, |u|^r in the quadrature and |u|^(p-1) u in the kick, go
-through one helper, `_power`, in place in the workspace buffers `phys` and
-`work`.  A whole exponent (r = 5 and p = 4 at the defaults) is a fixed chain
-of IEEE products, square-and-multiply, so its bits are the same on every
-machine; any other exponent runs `np.power`, whose bits follow the pow kernel
-numpy dispatches.
+through one helper, `_power`, in place in the workspace's slab buffers
+`phys` and `work`.  A whole exponent (r = 5 and p = 4 at the defaults) is a
+fixed chain of IEEE products, square-and-multiply, so its bits are the same
+on every machine; any other exponent runs `np.power`, whose bits follow the
+pow kernel numpy dispatches.
 """
 
 from __future__ import annotations
@@ -223,7 +234,10 @@ def to_physical(field: SpectralField) -> np.ndarray:
     It runs in the (grid, n) workspace and returns a copy of the samples.
     """
     grid = field.grid
-    return _samples(grid, field.coeffs, grid.n, _workspace(grid, grid.n)).copy()
+    out = np.empty(grid.shape)
+    for rows, samples in _sample_slabs(grid, field.coeffs, grid.n, _workspace(grid, grid.n)):
+        out[rows] = samples
+    return out
 
 
 def single_mode(grid: Grid, index: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
@@ -397,37 +411,63 @@ def _conj_mirror(c: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Workspace:
-    """Reused buffers for `_samples` and `_half_band` between a grid and m
-    points; both take the workspace of their m as a required argument.
+def _forward(a: np.ndarray, axis: int, n: int, h: int, scratch: np.ndarray,
+             dst: np.ndarray) -> np.ndarray:
+    """Forward transform of one axis of a, truncated to n rows into dst and
+    returned: through `scratch` when a has more rows, straight into dst when
+    it has n."""
+    if a.shape[axis] == n:
+        return np.fft.fft(a, axis=axis, norm="forward", out=dst)
+    return _resize(np.fft.fft(a, axis=axis, norm="forward", out=scratch), axis, n, h, dst)
 
-    * `pads[axis]` holds the spectrum while leading axis `axis` is
-      transformed: m rows on the axes up to it, n after it, n/2 k_z;
-    * `phys` holds the m-point samples (the kick and the quadrature then
-      write their `_power` into it);
-    * `work` is real m-point scratch for the caller.  Its memory also holds
-      the rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
-      which `_half_band` writes only once the caller is done with `work`,
-      and `half`, k_z < n/2 coefficients the caller builds for `_samples`,
-      which has read them before the caller writes `work` (a `_half_band`
-      at m, such as `from_physical` at m = n, overwrites it too);
+
+# x-planes of an oversampled 3-D pass are streamed in this many slabs; eight
+# partial sums add up, in numpy's pairwise order, to the sum of the whole.
+_SLABS = 8
+
+
+class _Workspace:
+    """Reused buffers for the transforms between a grid and m points:
+    `_sample_slabs`, `_fold_slab` and `_fold_half` take the workspace of their
+    m as a required argument.
+
+    A 3-D pass at m > n streams its m x-planes in `_SLABS` slabs of m/8 planes
+    (`slabs`, the row ranges); at m = n, and in dim 1, one slab holds them all.
+
+    * `rows` holds the spectrum with m k_x rows, n k_y and the n/2 resolved
+      k_z: the axis-0 inverse writes it whole, each slab's axis-1 inverse
+      reads the slab's rows and its forward steps write them back; in dim 1
+      it holds the n/2 k_z alone;
+    * `pad` holds one slab's spectrum, m k_y rows, while axis 1 is
+      transformed;
+    * `phys` holds one slab's m-point samples (the kick and the quadrature
+      then write their `_power` into it);
+    * `work` is real slab scratch for the caller.  Its memory also holds the
+      slab's rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
+      which `_fold_half` writes once every slab is in, and `half`, k_z < n/2
+      coefficients the caller builds for `_sample_slabs`, which has read them
+      into `rows` before the caller writes `work` (a `_fold_slab` at m, such
+      as `from_physical` at m = n, overwrites it too);
     * `full` holds full-layout coefficients the caller builds, apart from
       every other buffer; its pages are touched only by a caller that uses it.
 
-    At m = 2n in 3-D this is 5.7 MB per n = 32 grid, and `full` 0.5 MB more.
+    At m = 2n in 3-D this is 1.1 MiB per n = 32 grid, and `full` 0.5 MiB more.
     """
 
     def __init__(self, grid: Grid, m: int):
         n, h, dim = grid.n, grid.n // 2, grid.dim
-        self.pads = [np.empty((m,) * (axis + 1) + (n,) * (dim - 2 - axis) + (h,),
-                              dtype=np.complex128) for axis in range(dim - 1)]
-        self.phys = np.empty((m,) * dim)
-        spec_shape = (m,) * (dim - 1) + (m // 2 + 1,)
+        planes = m // _SLABS if dim == 3 and m > n else m
+        self.slabs = [slice(i, i + planes) for i in range(0, m, planes)]
+        slab = (planes, m, m) if dim == 3 else (m,)
+        self.rows = np.empty((m, n, h) if dim == 3 else (h,), dtype=np.complex128)
+        self.pad = np.empty((planes, m, h), dtype=np.complex128) if dim == 3 else None
+        self.phys = np.empty(slab)
+        spec_shape = slab[:-1] + (m // 2 + 1,)
         flat = np.empty(math.prod(spec_shape), dtype=np.complex128)
         self.spec = flat.reshape(spec_shape)
         self.mirror = flat[:n ** (dim - 1)].reshape(grid.shape[:-1] + (1,))
         self.half = flat[:n ** (dim - 1) * h].reshape(grid.shape[:-1] + (h,))
-        self.work = flat.view(np.float64)[:m ** dim].reshape(self.phys.shape)
+        self.work = flat.view(np.float64)[:math.prod(slab)].reshape(slab)
         self.full = np.empty(grid.shape, dtype=np.complex128)
 
 
@@ -437,47 +477,74 @@ def _workspace(grid: Grid, m: int) -> _Workspace:
     return _Workspace(grid, m)
 
 
-def _samples(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace) -> np.ndarray:
-    """Real values of the coefficients on the m-point grid (m a multiple of n).
+def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
+    """Real values of the coefficients on the m-point grid (m a multiple of
+    n), one slab at a time: yields (rows, samples) per slab of `ws.slabs`.
 
     The steps and axis order of irfftn, pruned: each leading axis is padded to
     m just before its own inverse transform, so no transform runs over columns
-    that are all padding.  The last axis goes in as its n/2 resolved k_z,
-    which irfft zero-fills to m/2 + 1 itself.  Every step writes into the
-    buffers of `ws`, the workspace of (grid, m), and the result is `ws.phys`.
+    that are all padding.  Axis 0 is transformed once, whole, into `ws.rows`;
+    then each slab's rows go through axis 1 into `ws.pad` and the last axis
+    into `ws.phys`.  The last axis goes in as its n/2 resolved k_z, which
+    irfft zero-fills to m/2 + 1 itself.  A slab's samples live until the next
+    slab is made, and its rows of `ws.rows` are free for `_fold_slab`.
     """
     h = grid.n // 2
     a = coeffs[..., :h]
-    for axis, pad in enumerate(ws.pads):
-        a = np.fft.ifft(_resize(a, axis, m, h, pad), axis=axis, norm="forward", out=pad)
-    return np.fft.irfft(a, n=m, axis=-1, norm="forward", out=ws.phys)
+    if grid.dim == 3:
+        a = np.fft.ifft(_resize(a, 0, m, h, ws.rows), axis=0, norm="forward", out=ws.rows)
+    for rows in ws.slabs:
+        b = a[rows]
+        if grid.dim == 3:
+            b = np.fft.ifft(_resize(b, 1, m, h, ws.pad), axis=1, norm="forward", out=ws.pad)
+        yield rows, np.fft.irfft(b, n=m, axis=-1, norm="forward", out=ws.phys)
 
 
-def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Resolved k_z < n/2 half of the coefficients of real samples on any
-    m-point grid (m >= n).
-
-    The steps and axis order of rfftn, pruned: each leading axis is truncated
-    to n right after its own transform, so later axes transform only resolved
-    columns.  The k_z = 0 plane, which the k_z < 0 half would share, is then
-    replaced by its Hermitian part, and the mean and the Nyquist planes are
-    zeroed, so `_complete` of the result is exactly Hermitian and clean.  The
-    result is a new array; `ws`, the workspace of (grid, m), holds every
-    intermediate step.
-    """
+def _fold_slab(grid: Grid, samples: np.ndarray, rows: slice, ws: _Workspace) -> None:
+    """The forward steps of one slab of m-point samples: rfft into `ws.spec`,
+    kept to its n/2 resolved k_z, then in 3-D the axis-1 transform, truncated
+    to n into the slab's rows of `ws.rows`."""
     h = grid.n // 2
     a = np.fft.rfft(samples, axis=-1, norm="forward", out=ws.spec)[..., :h]
+    if grid.dim == 3:
+        _forward(a, 1, grid.n, h, ws.pad, ws.rows[rows])
+    else:
+        ws.rows[...] = a
+
+
+def _fold_half(grid: Grid, ws: _Workspace) -> np.ndarray:
+    """Resolved k_z < n/2 half, a new array, of the samples whose every slab
+    `_fold_slab` has put into `ws.rows`.
+
+    In 3-D axis 0 is transformed and truncated to n.  The k_z = 0 plane,
+    which the k_z < 0 half would share, is then replaced by its Hermitian
+    part, and the mean and the Nyquist planes are zeroed, so `_complete` of
+    the result is exactly Hermitian and clean.
+    """
+    h = grid.n // 2
     half = np.empty(grid.shape[:-1] + (h,), dtype=np.complex128)
-    for axis in reversed(range(grid.dim - 1)):
-        dst = ws.pads[axis - 1] if axis else half
-        a = _resize(np.fft.fft(a, axis=axis, norm="forward", out=ws.pads[axis]),
-                    axis, grid.n, h, dst)
-    if a is not half:  # dim 1, or m = n: nothing was truncated into it
-        half[...] = a
+    if grid.dim == 3:
+        _forward(ws.rows, 0, grid.n, h, ws.rows, half)
+    else:
+        half[...] = ws.rows
     plane = half[..., :1]
     plane += _conj_mirror(plane, ws.mirror)
     plane *= 0.5
     return _clean(grid, half)
+
+
+def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Resolved k_z < n/2 half of the coefficients of real samples on any
+    m-point grid (m >= n), a new array; `ws`, the workspace of (grid, m),
+    holds every intermediate step.
+
+    The steps and axis order of rfftn, pruned: each leading axis is truncated
+    to n right after its own transform, so later axes transform only resolved
+    columns.  The samples go in slab by slab (`_fold_slab`), then `_fold_half`.
+    """
+    for rows in ws.slabs:
+        _fold_slab(grid, samples[rows], rows, ws)
+    return _fold_half(grid, ws)
 
 
 def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -521,13 +588,14 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
 
 def _quadrature(grid: Grid, coeffs: np.ndarray, r: float, m: int) -> float:
     """`lebesgue_norm` of full or half coefficients on the m-point grid: the
-    samples, |.|^r (`_power`, into the samples' buffer) and the sum all run
-    in the workspace of (grid, m)."""
+    samples, |.|^r (`_power`, into the samples' buffer) and the sums all run
+    slab by slab in the workspace of (grid, m).  The slab sums are added by
+    one more `np.sum`, which gives numpy's pairwise sum of the whole."""
     ws = _workspace(grid, m)
-    w = np.abs(_samples(grid, coeffs, m, ws), out=ws.work)
-    w = _power(w, r, ws.phys, times=False)
-    cell = grid.L ** grid.dim / w.size
-    return float(cell * np.sum(w)) ** (1.0 / r)
+    sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
+            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
+    cell = grid.L ** grid.dim / m ** grid.dim
+    return float(cell * np.sum(sums)) ** (1.0 / r)
 
 
 def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:

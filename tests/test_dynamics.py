@@ -45,7 +45,8 @@ from nlwlab.fields import (
     to_physical,
     zero_field,
 )
-from test_spectral_reference import block_slices, reference_band, reference_samples
+from test_spectral_reference import (
+    BIT_SHAPES, block_slices, reference_band, reference_samples)
 
 G3 = Grid(n=16, L=32.0, dim=3)
 G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
@@ -270,8 +271,7 @@ class TestRealTransformKick:
         ref = c2c_kick(grid, u.coeffs, 4.0, oversample)
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
-    @pytest.mark.parametrize("oversample", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid,oversample", BIT_SHAPES)
     @pytest.mark.parametrize("p", [4.0, 4.3])
     def test_matches_unpruned_formula_bit_for_bit(self, grid, oversample, p):
         # a whole p - 1 is formed by products in the documented order,

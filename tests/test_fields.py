@@ -21,7 +21,7 @@ from nlwlab.fields import (
     _power,
     _resize,
     _reverse_indices,
-    _samples,
+    _sample_slabs,
     _symbol,
     _workspace,
     apply_multiplier,
@@ -41,12 +41,14 @@ from nlwlab.fields import (
     zero_field,
 )
 from nlwlab.diagnostics import OrbitMeter
-from nlwlab.dynamics import WaveState, nonlinear_term
+from nlwlab.dynamics import WaveState, _nonlinear_raw, nonlinear_term
 from nlwlab.params import TripleMQR
-from test_spectral_reference import block_slices, reference_band, reference_samples
+from test_spectral_reference import (
+    BIT_SHAPES, block_slices, reference_band, reference_samples)
 
 G3 = Grid(n=16, L=32.0, dim=3)
 G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
+G32 = Grid(n=32, L=32.0, dim=3)  # the benchmark's grid: 8 x-planes a slab at m = 64
 
 
 def random_field(grid, seed, decay=0.0):
@@ -372,8 +374,7 @@ class TestLebesgueNorm:
         with pytest.raises(FieldError):
             lebesgue_norm(f, math.inf)
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
-    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    @pytest.mark.parametrize("grid,factor", BIT_SHAPES)
     @pytest.mark.parametrize("r", [5.0, 5.3])
     def test_workspace_matches_unpruned_formula_bit_for_bit(self, grid, factor, r):
         # a whole r is formed by products in the documented order,
@@ -387,6 +388,16 @@ class TestLebesgueNorm:
         expected = float(grid.L ** grid.dim / w.size * np.sum(w)) ** (1.0 / r)
         assert lebesgue_norm(f, r, factor) == expected
         assert lebesgue_norm(f, r, factor) == expected  # the reused workspace
+
+    @pytest.mark.parametrize("grid", [G3, G32], ids=["n16", "n32"])
+    def test_slab_sums_add_up_to_the_sum_of_the_whole(self, grid):
+        # at r = 1 the norm is the sum itself, so its last bit shows the order
+        # of the additions: eight slab sums reproduce numpy's pairwise sum of
+        # the whole, where four would miss it on some of these seeds
+        for seed in range(12):
+            f = random_field(grid, 100 + seed, decay=1.0)
+            w = np.abs(reference_samples(grid, f.coeffs, 2 * grid.n))
+            assert lebesgue_norm(f, 1.0, 2) == float(grid.L ** 3 / w.size * np.sum(w))
 
 
 class TestPower:
@@ -457,14 +468,15 @@ class TestPower:
         monkeypatch.setattr(np, "power", power)
         return calls
 
-    @pytest.mark.parametrize("p,expected", [(4.0, []), (4.3, [4.3 - 1.0])])
+    # a factor-2 pass streams its samples in 8 slabs, each with its own power
+    @pytest.mark.parametrize("p,expected", [(4.0, []), (4.3, [4.3 - 1.0] * 8)])
     def test_kick_calls_np_power_only_for_fractional_p(self, p, expected, monkeypatch):
         u = random_field(G3, 42, decay=1.0)
         calls = self.spy(monkeypatch)
         nonlinear_term(u, p, 2)
         assert calls == expected
 
-    @pytest.mark.parametrize("r,expected", [(5.0, []), (5.3, [5.3])])
+    @pytest.mark.parametrize("r,expected", [(5.0, []), (5.3, [5.3] * 8)])
     def test_quadrature_calls_np_power_only_for_fractional_r(self, r, expected,
                                                              monkeypatch):
         f = random_field(G3, 43, decay=1.0)
@@ -475,10 +487,53 @@ class TestPower:
 
 def oversampled_values(field, factor):
     """Physical samples on a factor-times-finer grid (trigonometric values):
-    the padded transform that the kick and `lebesgue_norm` run in a workspace,
-    copied out of it."""
-    m = _oversampled_size(field.grid, factor)
-    return _samples(field.grid, field.coeffs, m, _workspace(field.grid, m)).copy()
+    the padded transform that the kick and `lebesgue_norm` stream slab by
+    slab through a workspace, assembled into a new array."""
+    grid = field.grid
+    m = _oversampled_size(grid, factor)
+    out = np.empty((m,) * grid.dim)
+    for rows, samples in _sample_slabs(grid, field.coeffs, m, _workspace(grid, m)):
+        out[rows] = samples
+    return out
+
+
+def workspace_arrays(ws):
+    """Every ndarray a workspace holds, those in lists included."""
+    values = [a for v in vars(ws).values() for a in (v if isinstance(v, list) else (v,))]
+    return [a for a in values if isinstance(a, np.ndarray)]
+
+
+class TestWorkspaceMemory:
+    """The oversampled transforms stream slabs of x-planes, so a workspace
+    holds no m^3 buffer and a kick or a quadrature allocates next to nothing."""
+
+    def test_oversampled_workspace_holds_at_most_2_mib(self):
+        bases = {}
+        for a in workspace_arrays(_workspace(G32, 2 * G32.n)):
+            base = a if a.base is None else a.base  # `spec`, `work`, ... share memory
+            bases[id(base)] = base.nbytes
+        assert sum(bases.values()) <= 2 * 2 ** 20
+
+    @staticmethod
+    def traced_peak(fn):
+        fn()  # builds the workspace and the caches
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_kick_allocates_only_the_half_it_returns(self):
+        u = random_field(G32, 44, decay=1.0)
+        half, peak = self.traced_peak(lambda: _nonlinear_raw(G32, u.coeffs, 4.0, 2))
+        assert peak <= half.nbytes + 64 * 2 ** 10
+
+    def test_oversampled_quadrature_allocates_under_64_kib(self):
+        f = random_field(G32, 45, decay=1.0)
+        _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.0, 2))
+        assert peak < 64 * 2 ** 10
 
 
 class TestOversampledValues:
@@ -497,8 +552,8 @@ class TestOversampledValues:
     def test_successive_results_stay_fresh(self, grid):
         f, g = random_field(grid, 16), random_field(grid, 17)
         meter = OrbitMeter((0.5,), 0.95, 4.0, (TripleMQR(0.5, 4.0, 5.3),))
-        ws = _workspace(grid, grid.n)  # `work`, `mirror` and `half` lie in `spec`
-        buffers = (*ws.pads, ws.phys, ws.spec, ws.full)
+        buffers = [a for m in (grid.n, 2 * grid.n)
+                   for a in workspace_arrays(_workspace(grid, m))]
         for transform in (to_physical, lambda x: oversampled_values(x, 2),
                           lambda x: from_physical(grid, to_physical(x)).coeffs):
             first = transform(f)
@@ -549,7 +604,7 @@ class TestOversampledValues:
     def test_pruned_transforms_match_reference_bit_for_bit(self, grid, factor):
         f = random_field(grid, 13)
         m = factor * grid.n
-        samples = _samples(grid, f.coeffs, m, _workspace(grid, m)).copy()
+        samples = oversampled_values(f, factor)
         assert np.array_equal(samples, reference_samples(grid, f.coeffs, m))
         # generic samples carry modes beyond the band, which _band drops
         rough = np.random.default_rng(14).standard_normal((m,) * grid.dim)
