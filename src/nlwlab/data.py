@@ -4,9 +4,10 @@ Data are built in Fourier space: a power-law amplitude profile on a wavenumber
 band, independent uniform phases from a counter-based generator, Hermitian
 symmetrization, an optional half-box window in physical space, and an exact
 normalization of the position at the target Sobolev order and of the velocity
-one order lower.  The default profile slope -(s + dim/2) makes the expected
+one order lower.  The position's profile slope -(s + 3/2) makes the expected
 shell-summed Sobolev density flat, i.e. every dyadic block contributes equally
-at order s, which is as rough as the order allows.
+at order s, which is as rough as the order allows; the velocity's is one power
+rougher.
 
 The rescaling map sends (u, v) on a box of side L to the relabeled pair on a
 box of side lambda L with amplitudes scaled by the critical-regularity
@@ -45,10 +46,10 @@ class DataRecipe:
     """Deterministic recipe for a rough pair (u, v) at position order s_target.
 
     size_hs fixes the position norm at order s_target; the velocity is
-    normalized to the same value at order s_target - 1.  slope=None selects
-    the shell-flat default -(s_target + dim/2) for the position (the velocity
-    profile is always one power rougher).  window=True confines support to the
-    centered half box via a quintic ramp before normalizing.
+    normalized to the same value at order s_target - 1.  The position's
+    profile has the shell-flat slope -(s_target + 3/2), the velocity's one
+    power rougher.  window=True confines support to the centered half box via
+    a quintic ramp before normalizing.
     """
 
     seed: int
@@ -56,7 +57,6 @@ class DataRecipe:
     k_min: float
     k_max: float
     size_hs: float
-    slope: float | None = None
     window: bool = True
 
     def __post_init__(self) -> None:
@@ -95,10 +95,7 @@ def _window_profile(grid: Grid) -> np.ndarray:
 def window_array(grid: Grid) -> np.ndarray:
     """Tensor-product half-box window on the physical grid."""
     w = _window_profile(grid)
-    out = w
-    for _ in range(grid.dim - 1):
-        out = np.multiply.outer(out, w)
-    return out
+    return np.multiply.outer(np.multiply.outer(w, w), w)
 
 
 def _random_band_field(grid: Grid, rng: np.random.Generator, k_min: float,
@@ -132,7 +129,7 @@ def synthesize(recipe: DataRecipe, grid: Grid) -> WaveState:
     child_u, child_v = root.spawn(2)
     rng_u = np.random.Generator(np.random.Philox(child_u))
     rng_v = np.random.Generator(np.random.Philox(child_v))
-    slope_u = -(recipe.s_target + grid.dim / 2.0) if recipe.slope is None else recipe.slope
+    slope_u = -(recipe.s_target + 1.5)
     slope_v = slope_u + 1.0
     u = _random_band_field(grid, rng_u, recipe.k_min, recipe.k_max, slope_u, recipe.window)
     v = _random_band_field(grid, rng_v, recipe.k_min, recipe.k_max, slope_v, recipe.window)
@@ -163,7 +160,7 @@ def rescale(state: WaveState, lam: float, params: PdeParams) -> WaveState:
     """
     _dyadic_exponent(lam)
     grid = state.grid
-    new_grid = Grid(n=grid.n, L=lam * grid.L, dim=grid.dim)
+    new_grid = Grid(n=grid.n, L=lam * grid.L)
     a = 1.5 - params.s_crit
     u = _make(new_grid, state.u.coeffs * lam ** (-a))
     v = _make(new_grid, state.v.coeffs * lam ** (-a - 1.0))
@@ -174,7 +171,7 @@ def perturb(state: WaveState, eps: float, seed: int, params: PdeParams,
             template: DataRecipe) -> WaveState:
     """Add an independent rough pair scaled to critical pair norm exactly eps.
 
-    The template supplies the band, slope, and window; its seed and size are
+    The template supplies the band and the window; its seed and size are
     ignored.  eps = 0 returns the state unchanged.
     """
     if eps < 0.0:

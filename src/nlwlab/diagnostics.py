@@ -73,8 +73,9 @@ def smoothed_energy(state: WaveState, cutoff: float, s: float, p: float,
 
     The smoothing multiplier is the identity below the cutoff, so band-limited
     states reproduce the plain energy exactly.  The potential is integrated on
-    the oversampled grid so drift measurements see the solver's conserved
-    quadrature, not base-grid aliasing noise.
+    the grid `oversample` times finer; a drift measurement along a run passes
+    the stepper's factor, so it sees the solver's conserved quadrature, not
+    base-grid aliasing noise.
     """
     return _smoothed(state, cutoff, s, p, oversample)[0]
 
@@ -149,10 +150,11 @@ class OrbitMeter:
 
     Called on a state, it records for every cutoff N the spatial norm
     |D^(1-m) I_N u|_(L^r) on every triple given and, with `energies`, the
-    smoothed energy.  The norm multiplies the k_z < n/2 half of u's
-    coefficients by D^(1-m) and then by I, the order `apply_multiplier`
-    uses, into the `half` buffer of the factor-1 workspace and runs
-    `_quadrature` from there, so it allocates no field.  The methods named
+    smoothed energy at `oversample`, the factor of the run it measures.  The
+    norm multiplies the k_z < n/2 half of u's coefficients by D^(1-m) and
+    then by I, the order `apply_multiplier` uses, into the `half` buffer of
+    the factor-1 workspace and runs `_quadrature` from there, so it
+    allocates no field.  The methods named
     after the public trajectory diagnostics reduce the records over the
     sample `times`; those functions feed a meter from a kept trajectory's
     states, so passing one as `observer=` to `evolve` or `linear_trajectory`
@@ -162,8 +164,8 @@ class OrbitMeter:
     """
 
     def __init__(self, cutoffs, s: float, p: float, triples=(),
-                 energies: bool = False):
-        self.s, self.p = s, p
+                 energies: bool = False, oversample: int = 2):
+        self.s, self.p, self.oversample = s, p, oversample
         self.cutoffs = tuple(dict.fromkeys(cutoffs))
         self.triples = tuple(dict.fromkeys(triples))
         self._phi = {(c, t): [] for c in self.cutoffs for t in self.triples}
@@ -184,7 +186,7 @@ class OrbitMeter:
                 self._phi[cutoff, triple].append(_quadrature(grid, iu, triple.r, grid.n))
             if self._energies:
                 self._energies[cutoff].append(
-                    smoothed_energy(state, cutoff, self.s, self.p).total)
+                    smoothed_energy(state, cutoff, self.s, self.p, self.oversample).total)
         self.count += 1
 
     def _series(self, table: dict, key) -> np.ndarray:

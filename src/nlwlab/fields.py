@@ -1,7 +1,8 @@
 """Periodic pseudospectral fields on a uniform grid.
 
-A field is stored by its Fourier coefficients in numpy fftn layout with the
-forward transform normalized by 1/n^dim, so a coefficient is the amplitude of
+The grid is three-dimensional, the dimension of the paper's equation.  A
+field is stored by its Fourier coefficients in numpy fftn layout with the
+forward transform normalized by 1/n^3, so a coefficient is the amplitude of
 exp(i k.x) in the trigonometric expansion and wavenumbers are (2 pi / L) times
 integer vectors.  Three conventions hold for every field in the package:
 
@@ -29,14 +30,14 @@ Every transform runs in a workspace: the buffers of `_workspace(grid, m)`
 for its m-point samples, built once per process.  Every intermediate step
 writes into them through numpy's `out=`.  The physical-space step is
 pointwise and every step after the axis-0 inverse is independent per
-x-plane, so an oversampled 3-D pass (m > n) streams its m x-planes in eight
+x-plane, so an oversampled pass (m > n) streams its m x-planes in eight
 slabs: the axis-0 inverse runs once, into an (m, n, n/2) buffer, and each
 slab is then sampled (`_sample_slabs`), handed to the caller and, in the
 kick, transformed back into its own rows of that buffer (`_fold_slab`);
 the axis-0 forward transform runs once more at the end (`_fold_half`).  A
-pass at m = n, and any pass in dim 1, is one slab.  Every per-row transform
-is the one the whole-array pass runs, so the results are the same bits,
-and the workspace holds no m^3 array: 1.1 MiB at n = 32, m = 64, against
+pass at m = n is one slab.  Every per-row transform is the one the
+whole-array pass runs, so the results are the same bits, and the workspace
+holds no m^3 array: 1.1 MiB at n = 32, m = 64, against
 5.6 MiB for whole m^3 buffers.  So the nonlinear kick
 (`dynamics._nonlinear_raw`) allocates only the half it returns, and the
 quadrature behind `lebesgue_norm` (`_quadrature`) allocates nothing but its
@@ -52,7 +53,7 @@ I u, into the oversampled workspace's `full` buffer and measures it with
 returns a workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
-l2 norm sqrt(L^dim * sum |k|^(2 sigma) |c_k|^2), which by the normalization
+l2 norm sqrt(L^3 * sum |k|^(2 sigma) |c_k|^2), which by the normalization
 above coincides with the grid L2 norm at sigma = 0.  Lebesgue norms are
 uniform-grid quadrature of |u|^r.
 
@@ -80,15 +81,19 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid: n points per axis (power of two, >= 16) on [0, L)^dim."""
+    """Uniform periodic grid: n points per axis (power of two, >= 16) on [0, L)^3.
+
+    The lab is three-dimensional, so `dim` must be 3; it stays a field so
+    that a config names it (`grid.dim`) and its hash covers it.
+    """
 
     n: int
     L: float
     dim: int = 3
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 3):
-            raise FieldError(f"dim must be 1 or 3, got {self.dim}")
+        if self.dim != 3:
+            raise FieldError(f"dim must be 3, got {self.dim}")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise FieldError(f"n must be a power of two >= 16, got {self.n}")
         if not (self.L > 0.0 and math.isfinite(self.L)):
@@ -131,11 +136,8 @@ class Grid:
 @lru_cache(maxsize=64)
 def _kmag(grid: Grid) -> np.ndarray:
     ax = grid.axis_wavenumbers()
-    if grid.dim == 1:
-        out = np.abs(ax)
-    else:
-        kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
-        out = np.sqrt(kx * kx + ky * ky + kz * kz)
+    kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
+    out = np.sqrt(kx * kx + ky * ky + kz * kz)
     out.flags.writeable = False
     return out
 
@@ -177,14 +179,12 @@ def _clean(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
     A k_z < n/2 half holds no k_z Nyquist plane; its other planes are zeroed.
     """
-    half = grid.n // 2
-    for axis in range(grid.dim):
-        if coeffs.shape[axis] <= half:
-            continue
-        idx: list = [slice(None)] * grid.dim
-        idx[axis] = half
-        coeffs[tuple(idx)] = 0.0
-    coeffs[(0,) * grid.dim] = 0.0
+    h = grid.n // 2
+    coeffs[h] = 0.0
+    coeffs[:, h] = 0.0
+    if coeffs.shape[2] > h:
+        coeffs[:, :, h] = 0.0
+    coeffs[0, 0, 0] = 0.0
     return coeffs
 
 
@@ -218,7 +218,7 @@ def zero_field(grid: Grid) -> SpectralField:
 
 
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Forward transform of real grid samples, normalized by 1/n^dim.
+    """Forward transform of real grid samples, normalized by 1/n^3.
 
     It runs in the (grid, n) workspace; the coefficients are a new array.
     """
@@ -366,7 +366,7 @@ def apply_multiplier(field: SpectralField, spec) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 def sobolev_norm(field: SpectralField, sigma: float) -> float:
-    """Homogeneous Sobolev norm sqrt(L^dim sum |k|^(2 sigma) |c_k|^2).
+    """Homogeneous Sobolev norm sqrt(L^3 sum |k|^(2 sigma) |c_k|^2).
 
     The zero mode carries no weight for any sigma (it is zero by convention,
     and negative orders are undefined there).
@@ -421,7 +421,7 @@ def _forward(a: np.ndarray, axis: int, n: int, h: int, scratch: np.ndarray,
     return _resize(np.fft.fft(a, axis=axis, norm="forward", out=scratch), axis, n, h, dst)
 
 
-# x-planes of an oversampled 3-D pass are streamed in this many slabs; eight
+# x-planes of an oversampled pass are streamed in this many slabs; eight
 # partial sums add up, in numpy's pairwise order, to the sum of the whole.
 _SLABS = 8
 
@@ -431,13 +431,12 @@ class _Workspace:
     `_sample_slabs`, `_fold_slab` and `_fold_half` take the workspace of their
     m as a required argument.
 
-    A 3-D pass at m > n streams its m x-planes in `_SLABS` slabs of m/8 planes
-    (`slabs`, the row ranges); at m = n, and in dim 1, one slab holds them all.
+    A pass at m > n streams its m x-planes in `_SLABS` slabs of m/8 planes
+    (`slabs`, the row ranges); at m = n one slab holds them all.
 
     * `rows` holds the spectrum with m k_x rows, n k_y and the n/2 resolved
       k_z: the axis-0 inverse writes it whole, each slab's axis-1 inverse
-      reads the slab's rows and its forward steps write them back; in dim 1
-      it holds the n/2 k_z alone;
+      reads the slab's rows and its forward steps write them back;
     * `pad` holds one slab's spectrum, m k_y rows, while axis 1 is
       transformed;
     * `phys` holds one slab's m-point samples (the kick and the quadrature
@@ -451,23 +450,21 @@ class _Workspace:
     * `full` holds full-layout coefficients the caller builds, apart from
       every other buffer; its pages are touched only by a caller that uses it.
 
-    At m = 2n in 3-D this is 1.1 MiB per n = 32 grid, and `full` 0.5 MiB more.
+    At m = 2n this is 1.1 MiB per n = 32 grid, and `full` 0.5 MiB more.
     """
 
     def __init__(self, grid: Grid, m: int):
-        n, h, dim = grid.n, grid.n // 2, grid.dim
-        planes = m // _SLABS if dim == 3 and m > n else m
+        n, h = grid.n, grid.n // 2
+        planes = m // _SLABS if m > n else m
         self.slabs = [slice(i, i + planes) for i in range(0, m, planes)]
-        slab = (planes, m, m) if dim == 3 else (m,)
-        self.rows = np.empty((m, n, h) if dim == 3 else (h,), dtype=np.complex128)
-        self.pad = np.empty((planes, m, h), dtype=np.complex128) if dim == 3 else None
-        self.phys = np.empty(slab)
-        spec_shape = slab[:-1] + (m // 2 + 1,)
-        flat = np.empty(math.prod(spec_shape), dtype=np.complex128)
-        self.spec = flat.reshape(spec_shape)
-        self.mirror = flat[:n ** (dim - 1)].reshape(grid.shape[:-1] + (1,))
-        self.half = flat[:n ** (dim - 1) * h].reshape(grid.shape[:-1] + (h,))
-        self.work = flat.view(np.float64)[:math.prod(slab)].reshape(slab)
+        self.rows = np.empty((m, n, h), dtype=np.complex128)
+        self.pad = np.empty((planes, m, h), dtype=np.complex128)
+        self.phys = np.empty((planes, m, m))
+        flat = np.empty(planes * m * (m // 2 + 1), dtype=np.complex128)
+        self.spec = flat.reshape(planes, m, m // 2 + 1)
+        self.mirror = flat[:n * n].reshape(n, n, 1)
+        self.half = flat[:n * n * h].reshape(n, n, h)
+        self.work = flat.view(np.float64)[:planes * m * m].reshape(planes, m, m)
         self.full = np.empty(grid.shape, dtype=np.complex128)
 
 
@@ -490,43 +487,34 @@ def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
     slab is made, and its rows of `ws.rows` are free for `_fold_slab`.
     """
     h = grid.n // 2
-    a = coeffs[..., :h]
-    if grid.dim == 3:
-        a = np.fft.ifft(_resize(a, 0, m, h, ws.rows), axis=0, norm="forward", out=ws.rows)
+    a = np.fft.ifft(_resize(coeffs[..., :h], 0, m, h, ws.rows), axis=0, norm="forward",
+                    out=ws.rows)
     for rows in ws.slabs:
-        b = a[rows]
-        if grid.dim == 3:
-            b = np.fft.ifft(_resize(b, 1, m, h, ws.pad), axis=1, norm="forward", out=ws.pad)
+        b = np.fft.ifft(_resize(a[rows], 1, m, h, ws.pad), axis=1, norm="forward", out=ws.pad)
         yield rows, np.fft.irfft(b, n=m, axis=-1, norm="forward", out=ws.phys)
 
 
 def _fold_slab(grid: Grid, samples: np.ndarray, rows: slice, ws: _Workspace) -> None:
     """The forward steps of one slab of m-point samples: rfft into `ws.spec`,
-    kept to its n/2 resolved k_z, then in 3-D the axis-1 transform, truncated
-    to n into the slab's rows of `ws.rows`."""
+    kept to its n/2 resolved k_z, then the axis-1 transform, truncated to n
+    into the slab's rows of `ws.rows`."""
     h = grid.n // 2
     a = np.fft.rfft(samples, axis=-1, norm="forward", out=ws.spec)[..., :h]
-    if grid.dim == 3:
-        _forward(a, 1, grid.n, h, ws.pad, ws.rows[rows])
-    else:
-        ws.rows[...] = a
+    _forward(a, 1, grid.n, h, ws.pad, ws.rows[rows])
 
 
 def _fold_half(grid: Grid, ws: _Workspace) -> np.ndarray:
     """Resolved k_z < n/2 half, a new array, of the samples whose every slab
     `_fold_slab` has put into `ws.rows`.
 
-    In 3-D axis 0 is transformed and truncated to n.  The k_z = 0 plane,
+    Axis 0 is transformed and truncated to n.  The k_z = 0 plane,
     which the k_z < 0 half would share, is then replaced by its Hermitian
     part, and the mean and the Nyquist planes are zeroed, so `_complete` of
     the result is exactly Hermitian and clean.
     """
     h = grid.n // 2
     half = np.empty(grid.shape[:-1] + (h,), dtype=np.complex128)
-    if grid.dim == 3:
-        _forward(ws.rows, 0, grid.n, h, ws.rows, half)
-    else:
-        half[...] = ws.rows
+    _forward(ws.rows, 0, grid.n, h, ws.rows, half)
     plane = half[..., :1]
     plane += _conj_mirror(plane, ws.mirror)
     plane *= 0.5

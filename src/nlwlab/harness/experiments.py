@@ -125,10 +125,11 @@ def _slopes(name: str, xs, per_seed: dict):
 
 # Almost-conservation drift vs cutoff
 def _acl_cell(values: dict, seed: int) -> list:
-    params = _pde(values)
-    meter = OrbitMeter(values["acl.cutoffs"], params.s, params.p, energies=True)
+    params, stepper = _pde(values), _stepper(values)
+    meter = OrbitMeter(values["acl.cutoffs"], params.s, params.p, energies=True,
+                       oversample=stepper.oversample)
     evolve(synthesize(_recipe(values, seed), _grid(values)), values["acl.horizon"],
-           _stepper(values), sample_interval=values["acl.sample_interval"],
+           stepper, sample_interval=values["acl.sample_interval"],
            keep_states=False, observer=meter)
     out = []
     for cutoff in values["acl.cutoffs"]:
@@ -171,13 +172,14 @@ def _judge_lemma_a(values: dict, measured: dict):
 
 # Norm-increment bracket ratios over an ensemble
 def _lemma_b_cell(values: dict, seed: int) -> list:
-    params = _pde(values)
+    params, stepper = _pde(values), _stepper(values)
     meter = OrbitMeter(values["bracket.cutoffs"], params.s, params.p,
-                       reference_triples(params), energies=True)
+                       reference_triples(params), energies=True,
+                       oversample=stepper.oversample)
     data = [synthesize(_recipe(values, seed), _grid(values))]
     initial = pair_sobolev_norm(data[0], params.s)
     # popped into the call, so the run can let go of its input
-    traj = evolve(data.pop(), values["bracket.horizon"], _stepper(values),
+    traj = evolve(data.pop(), values["bracket.horizon"], stepper,
                   sample_interval=values["bracket.sample_interval"],
                   keep_states=False, observer=meter)
     final = pair_sobolev_norm(traj.final, params.s)
@@ -388,15 +390,16 @@ def _strichartz_cell(values: dict, seed: int) -> list:
         data_norm = pair_sobolev_norm(w0, triple.m)
         out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
                     _ratio(z_value, data_norm)))
-    zb_cutoff = values["zbound.cutoff"]
-    breakdown = smoothed_energy(w0, zb_cutoff, params.s, params.p)
+    zb_cutoff, stepper = values["zbound.cutoff"], _stepper(values)
+    breakdown = smoothed_energy(w0, zb_cutoff, params.s, params.p, stepper.oversample)
     amp = _amplitude_for_energy(breakdown.kinetic + breakdown.gradient,
                                 breakdown.potential, params.p,
                                 values["zbound.energy_target"])
     small = WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)
     del w0
-    meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True)
-    ztraj = evolve(small, values["zbound.tau"], _stepper(values),
+    meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True,
+                       oversample=stepper.oversample)
+    ztraj = evolve(small, values["zbound.tau"], stepper,
                    sample_interval=values["zbound.sample_interval"],
                    keep_states=False, observer=meter)
     z_max = meter.spacetime_report(ztraj.times, zb_cutoff).z_max

@@ -64,7 +64,26 @@ def threshold_condition(s: float, p: float, boundary_tol: float = 1e-12) -> bool
     if abs(s - regularity_threshold(p)) <= boundary_tol:
         raise IndeterminateThresholdError(
             f"s={s} within {boundary_tol} of the threshold for p={p}")
-    return (5.0 - p) * (s - sc) - 2.0 * (1.0 - s) > 0.0
+    return _gaps(p, s)[0] > 0.0
+
+
+def _gaps(p: float, s: float) -> tuple[float, float]:
+    """(5-p)(s-s_c) - 2(1-s) and (5-p)/2 - (1-s)/(s-s_c), for s > s_c: the
+    denominators of the growth and cutoff exponents, positive exactly above
+    the regularity threshold."""
+    sc = critical_regularity(p)
+    return ((5.0 - p) * (s - sc) - 2.0 * (1.0 - s),
+            0.5 * (5.0 - p) - (1.0 - s) / (s - sc))
+
+
+def _gaps_above_threshold(params: PdeParams) -> tuple[float, float]:
+    """`_gaps` of params; at or below the regularity threshold it raises."""
+    gap, rate = _gaps(params.p, params.s)
+    if gap <= 0.0:
+        raise ThresholdError(
+            f"s={params.s} is at or below the regularity threshold for p={params.p}; "
+            "growth exponents diverge")
+    return gap, rate
 
 
 @dataclass(frozen=True)
@@ -104,14 +123,9 @@ def growth_exponents(params: PdeParams) -> GrowthExponents:
     below it the formulas are meaningless and we raise.
     """
     p, s = params.p, params.s
-    sc = params.s_crit
-    gap = (5.0 - p) * (s - sc) - 2.0 * (1.0 - s)
-    if gap <= 0.0:
-        raise ThresholdError(
-            f"s={s} is at or below the regularity threshold for p={p}; "
-            "growth exponents diverge")
-    alpha = (0.5 * (5.0 - p) * (1.0 + s - sc)) / gap
-    beta = (1.0 - s + 0.5 * (5.0 - p)) / (0.5 * (5.0 - p) - (1.0 - s) / (s - sc))
+    gap, rate = _gaps_above_threshold(params)
+    alpha = (0.5 * (5.0 - p) * (1.0 + s - params.s_crit)) / gap
+    beta = (1.0 - s + 0.5 * (5.0 - p)) / rate
     return GrowthExponents(alpha=alpha, beta=beta)
 
 
@@ -160,15 +174,8 @@ def cutoff_choice(c_u: float, horizon: float, params: PdeParams,
     """
     if c_u <= 0.0 or horizon <= 0.0 or floor <= 0.0:
         raise ParamError("data size, horizon and floor must be positive")
-    p, s = params.p, params.s
-    sc = params.s_crit
-    gap = (5.0 - p) * (s - sc) - 2.0 * (1.0 - s)
-    if gap <= 0.0:
-        raise ThresholdError(
-            f"s={s} at or below the regularity threshold for p={p}")
-    e1 = 1.0 / gap
-    e2 = 1.0 / (0.5 * (5.0 - p) - (1.0 - s) / (s - sc))
-    return prefactor * max(c_u ** e1 * horizon ** e2, floor)
+    gap, rate = _gaps_above_threshold(params)
+    return prefactor * max(c_u ** (1.0 / gap) * horizon ** (1.0 / rate), floor)
 
 
 @dataclass(frozen=True)

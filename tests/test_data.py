@@ -1,7 +1,8 @@
 """Synthesis determinism and normalization, the scaling map, perturbations.
 
 Slope oracles run on the deterministic spectral profile (no phases), where the
-band sums have closed-form growth rates; seeded checks cover the random path.
+band sums have closed-form continuum growth rates; seeded checks cover the
+random path.
 """
 
 import math
@@ -31,7 +32,6 @@ from nlwlab.params import PdeParams
 
 P4 = PdeParams(p=4.0, s=0.95)
 G3 = Grid(n=32, L=32.0, dim=3)
-G1 = Grid(n=4096, L=2.0 * math.pi, dim=1)
 
 RECIPE = DataRecipe(seed=3, s_target=0.95, k_min=0.19, k_max=4.7, size_hs=10.0)
 
@@ -118,43 +118,76 @@ class TestSynthesize:
         assert ratio_u == pytest.approx(ratio_v, rel=0.2)
 
 
+# Unit wavenumber spacing; the profile band starts 4 spacings out and ends at
+# 8, 16 and 31 spacings (the largest |k| whose ball stays inside the grid).
+GP = Grid(n=64, L=2.0 * math.pi)
+K_MIN, K_MAXES = 4.0, (8.0, 16.0, 31.0)
+
+
+def shell_integral(k_max, d):
+    """Integral of k^(2d - 1) over [K_MIN, k_max]: the continuum value of
+    sum |k|^(2 sigma) |k|^(-2 s - 3) over the band, with d = sigma - s, up to
+    the constant 4 pi / (k spacing)^3."""
+    if d == 0.0:
+        return math.log(k_max / K_MIN)
+    return (k_max ** (2.0 * d) - K_MIN ** (2.0 * d)) / (2.0 * d)
+
+
+def fitted_slope(ys):
+    return np.polyfit(np.log2(K_MAXES), np.log2(ys), 1)[0]
+
+
 class TestSpectralProfile:
-    def profile_field(self, k_max, sigma_slope):
-        amp = profile_amplitudes(G1, 1.0, float(k_max), sigma_slope)
-        return from_coeffs(G1, amp.astype(np.complex128))
+    """The shell-flat profile |k|^-(s + 3/2) that `synthesize` uses, on a 3-D
+    band.  A norm of order sigma grows like the square root of
+    `shell_integral(k_max, sigma - s)`; with the K_MIN offset its fitted slope
+    over these k_max is well above the asymptotic rate sigma - s.  The lattice
+    sum over a band that starts 4 spacings out stays within about 1% of the
+    continuum integral (a direct lattice sum at n = 128 moves these slopes by
+    under 0.005), so the measured slope must match the predicted one to 0.02."""
+
+    @staticmethod
+    def profile_field(k_max, slope):
+        amp = profile_amplitudes(GP, K_MIN, k_max, slope)
+        return from_coeffs(GP, amp.astype(np.complex128))
 
     def test_amplitudes_follow_power_law(self):
-        amp = profile_amplitudes(G1, 4.0, 64.0, -1.45)
-        k7 = amp[7]
-        assert k7 == pytest.approx(7.0 ** -1.45, rel=1e-12)
-        assert amp[2] == 0.0 and amp[100] == 0.0
+        amp = profile_amplitudes(GP, K_MIN, 12.0, -2.45)
+        for index in ((3, 4, 0), (-3, 0, 4), (0, -4, -3)):  # |k| = 5
+            assert amp[index] == pytest.approx(5.0 ** -2.45, rel=1e-12)
+        assert amp[4, 0, 0] == pytest.approx(4.0 ** -2.45, rel=1e-12)  # band edges
+        assert amp[12, 0, 0] == pytest.approx(12.0 ** -2.45, rel=1e-12)
+        for index in ((0, 0, 0), (2, 2, 2), (10, 10, 0)):  # |k| = 0, 3.5, 14.1
+            assert amp[index] == 0.0
+
+    @staticmethod
+    def predicted_slope(sigma, s):
+        return fitted_slope([math.sqrt(shell_integral(k, sigma - s)) for k in K_MAXES])
 
     def test_rough_norm_grows_at_excess_order(self):
-        # band profile at slope -(s + 1/2): order s+0.2 mass accumulates like
-        # k_max^0.2 while the order-s mass only grows logarithmically
+        # order s + 0.2 on the order-s profile: rate 0.2, and 0.51 with the offset
         s = 0.95
-        sizes = [128, 256, 512, 1024]
-        norms = [sobolev_norm(self.profile_field(m, -(s + 0.5)), s + 0.2)
-                 for m in sizes]
-        slope = np.polyfit(np.log2(sizes), np.log2(norms), 1)[0]
-        assert abs(slope - 0.2) <= 0.05
+        norms = [sobolev_norm(self.profile_field(k, -(s + 1.5)), s + 0.2) for k in K_MAXES]
+        assert fitted_slope(norms) == pytest.approx(self.predicted_slope(s + 0.2, s),
+                                                    abs=0.02)
 
     def test_h1_divergence_rate(self):
         for s in (0.5, 0.95):
-            sizes = [128, 256, 512, 1024]
-            norms = [sobolev_norm(self.profile_field(m, -(s + 0.5)), 1.0)
-                     for m in sizes]
-            slope = np.polyfit(np.log2(sizes), np.log2(norms), 1)[0]
-            assert abs(slope - (1.0 - s)) <= 0.1
+            norms = [sobolev_norm(self.profile_field(k, -(s + 1.5)), 1.0) for k in K_MAXES]
+            assert fitted_slope(norms) == pytest.approx(self.predicted_slope(1.0, s),
+                                                        abs=0.02)
 
     def test_synthesized_data_is_rough(self):
-        # the normalized random pair at s = 1/2 shows the same divergence,
-        # slightly shaved by the slow growth of the order-s normalizer
-        recs = [DataRecipe(seed=9, s_target=0.5, k_min=1.0, k_max=float(m),
-                           size_hs=1.0, window=False) for m in (128, 256, 512, 1024)]
-        norms = [sobolev_norm(synthesize(r, G1).u, 1.0) for r in recs]
-        slope = np.polyfit(np.log2([r.k_max for r in recs]), np.log2(norms), 1)[0]
-        assert 0.3 <= slope <= 0.55
+        # the random pair at s = 1/2, normalized at order s: the H^1 norm
+        # grows like the ratio of the order-1 and the order-s band integrals
+        # (0.30 here).  Random phases halve every |c_k|^2 on average; over
+        # the thousands of modes of each band their spread adds at most 0.01.
+        recs = [DataRecipe(seed=9, s_target=0.5, k_min=K_MIN, k_max=k, size_hs=1.0,
+                           window=False) for k in K_MAXES]
+        norms = [sobolev_norm(synthesize(r, GP).u, 1.0) for r in recs]
+        predicted = fitted_slope([math.sqrt(shell_integral(k, 0.5) / shell_integral(k, 0.0))
+                                  for k in K_MAXES])
+        assert fitted_slope(norms) == pytest.approx(predicted, abs=0.03)
 
 
 class TestRescale:

@@ -410,8 +410,7 @@ class TestOrbitMeter:
                     == norm_growth_ratio(kept, P4, cutoff))
 
     @pytest.mark.parametrize("kind", ["evolve", "linear"])
-    @pytest.mark.parametrize("grid", [Grid(n=64, L=2.0 * math.pi, dim=1),
-                                      Grid(n=16, L=16.0, dim=3)], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [Grid(n=16, L=16.0)], ids=["dim3"])
     def test_observed_run_holds_one_sampled_state(self, grid, kind):
         recipe = DataRecipe(seed=7, s_target=0.95, k_min=0.5, k_max=2.5, size_hs=1.0)
         meter = OrbitMeter((2.0, 4.0), P4.s, P4.p, reference_triples(P4), energies=True)

@@ -1,7 +1,7 @@
 """Transform contract, multipliers, norms, splits, and snapshots.
 
 Exactness tests pin the conventions everything downstream leans on: the
-1/n^dim forward normalization, the mean-free and empty-Nyquist invariants,
+1/n^3 forward normalization, the mean-free and empty-Nyquist invariants,
 and the closed-form norms of single cosine modes.
 """
 
@@ -46,9 +46,10 @@ from nlwlab.params import TripleMQR
 from test_spectral_reference import (
     BIT_SHAPES, block_slices, reference_band, reference_samples)
 
-G3 = Grid(n=16, L=32.0, dim=3)
-G1 = Grid(n=64, L=2.0 * math.pi, dim=1)
-G32 = Grid(n=32, L=32.0, dim=3)  # the benchmark's grid: 8 x-planes a slab at m = 64
+G3 = Grid(n=16, L=32.0)
+# unit wavenumber spacing; its single modes along x carry one-dimensional oracles
+GX = Grid(n=16, L=2.0 * math.pi)
+G32 = Grid(n=32, L=32.0)  # the benchmark's grid: 8 x-planes a slab at m = 64
 
 
 def random_field(grid, seed, decay=0.0):
@@ -63,6 +64,8 @@ def random_field(grid, seed, decay=0.0):
 
 class TestGrid:
     def test_rejects_bad_geometry(self):
+        with pytest.raises(FieldError, match="dim must be 3, got 1"):
+            Grid(16, 1.0, dim=1)
         with pytest.raises(FieldError):
             Grid(n=16, L=1.0, dim=2)
         with pytest.raises(FieldError):
@@ -83,14 +86,15 @@ class TestGrid:
         # largest mode below the Nyquist planes: index (7,7,7) on n=16
         assert G3.max_wavenumber == pytest.approx(
             (math.pi / 16.0) * 7.0 * math.sqrt(3.0), rel=1e-15)
-        assert G1.max_wavenumber == pytest.approx(31.0, rel=1e-15)
+        assert GX.max_wavenumber == pytest.approx(7.0 * math.sqrt(3.0), rel=1e-15)
 
     def test_axis_wavenumbers_layout(self):
-        k = G1.axis_wavenumbers()
+        k = GX.axis_wavenumbers()
         assert k[0] == 0.0
         assert k[1] == pytest.approx(1.0, rel=1e-15)
         assert k[-1] == pytest.approx(-1.0, rel=1e-15)
-        assert np.max(np.abs(k)) == pytest.approx(G1.nyquist, rel=1e-15)
+        assert np.max(np.abs(k)) == pytest.approx(GX.nyquist, rel=1e-15)
+        assert GX.nyquist == pytest.approx(8.0, rel=1e-15)
 
 
 class TestTransform:
@@ -126,7 +130,7 @@ class TestTransform:
         back = from_physical(G3, to_physical(f))
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_from_physical_matches_c2c_and_is_hermitian(self, grid):
         samples = np.random.default_rng(19).standard_normal(grid.shape)
         got = from_physical(grid, samples).coeffs
@@ -194,11 +198,11 @@ class TestMultipliers:
 
     def test_smoothing_power_law_above_twice_cutoff(self):
         s = 0.95
-        cutoff = G1.k_spacing  # |k| = 4 sits at rho = 4
-        f = single_mode(G1, (4,), amplitude=1.0)
+        cutoff = GX.k_spacing  # |k| = 4 sits at rho = 4
+        f = single_mode(GX, (4, 0, 0), amplitude=1.0)
         g = apply_multiplier(f, smoothing_multiplier(cutoff, s))
         expected = 0.5 * 4.0 ** (s - 1.0)
-        assert g.coeffs[4] == pytest.approx(expected, rel=1e-14)
+        assert g.coeffs[4, 0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_power_composition(self):
         f = random_field(G3, 13)
@@ -278,15 +282,12 @@ class TestSmoothingProfile:
 
 
 def sobolev_oracle(field, sigma):
-    """sqrt(L^dim sum (c.real c.real + c.imag c.imag) |k|^(2 sigma)), with |k|
+    """sqrt(L^3 sum (c.real c.real + c.imag c.imag) |k|^(2 sigma)), with |k|
     built here from the axis wavenumbers and the zero mode weighted 0."""
     grid, c = field.grid, field.coeffs
     ax = grid.axis_wavenumbers()
-    if grid.dim == 1:
-        kmag = np.abs(ax)
-    else:
-        kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
-        kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
+    kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
+    kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
     weight = np.where(kmag > 0.0, kmag, 1.0) ** (2.0 * sigma)
     weight[kmag == 0.0] = 0.0
     return math.sqrt(grid.L ** grid.dim
@@ -294,7 +295,7 @@ def sobolev_oracle(field, sigma):
 
 
 class TestSobolevNorm:
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_equals_oracle_bit_for_bit(self, grid):
         s = 0.95
         for seed in range(3):
@@ -542,13 +543,13 @@ class TestOversampledValues:
         assert np.array_equal(oversampled_values(f, 1), to_physical(f))
 
     def test_exact_trigonometric_interpolation(self):
-        f = single_mode(G1, (3,), amplitude=2.0)
+        f = single_mode(GX, (3, 0, 0), amplitude=2.0)
         fine = oversampled_values(f, 4)
-        x = np.arange(4 * G1.n) * (G1.L / (4 * G1.n))
+        x = np.arange(4 * GX.n) * (GX.L / (4 * GX.n))
         expected = 2.0 * np.cos(3.0 * x)
-        assert np.max(np.abs(fine - expected)) < 1e-12
+        assert np.max(np.abs(fine - expected[:, None, None])) < 1e-12
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_successive_results_stay_fresh(self, grid):
         f, g = random_field(grid, 16), random_field(grid, 17)
         meter = OrbitMeter((0.5,), 0.95, 4.0, (TripleMQR(0.5, 4.0, 5.3),))
@@ -571,7 +572,7 @@ class TestOversampledValues:
         with pytest.raises(FieldError):
             oversampled_values(random_field(G3, 1), 0)
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_matches_c2c_reference(self, grid, factor):
         f = random_field(grid, 12, decay=1.0)
@@ -584,7 +585,7 @@ class TestOversampledValues:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_pad_truncate_round_trip_is_exact(self, grid, factor):
         f = random_field(grid, 13)
@@ -599,7 +600,7 @@ class TestOversampledValues:
             narrow = np.full(grid.shape, np.nan, dtype=complex)
             assert np.array_equal(_resize(wide, axis, grid.n, h, narrow), f.coeffs)
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
     def test_pruned_transforms_match_reference_bit_for_bit(self, grid, factor):
         f = random_field(grid, 13)
@@ -611,7 +612,7 @@ class TestOversampledValues:
         for data in (samples, rough):
             assert np.array_equal(_band(grid, data), reference_band(grid, data))
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     @pytest.mark.parametrize("factor", [1, 2])
     def test_half_band_is_the_kept_half_of_band(self, grid, factor):
         h = grid.n // 2
@@ -620,7 +621,7 @@ class TestOversampledValues:
         assert half.shape == grid.shape[:-1] + (h,)
         assert np.array_equal(half, reference_band(grid, rough)[..., :h])
 
-    @pytest.mark.parametrize("grid", [G1, G3], ids=["dim1", "dim3"])
+    @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_complete_rebuilds_a_field_from_its_half(self, grid):
         f = random_field(grid, 16)
         full = _complete(grid, f.coeffs[..., :grid.n // 2])

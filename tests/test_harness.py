@@ -11,8 +11,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nlwlab.data import synthesize
+from nlwlab.diagnostics import smoothed_energy
+from nlwlab.dynamics import evolve
 from nlwlab.harness import experiments
 from nlwlab.harness.cli import main
 from nlwlab.harness.config import (
@@ -20,6 +24,10 @@ from nlwlab.harness.config import (
     DEFAULTS,
     EXPERIMENTS,
     ConfigError,
+    _grid,
+    _pde,
+    _recipe,
+    _stepper,
     build_config,
     canonical_value,
     config_hash,
@@ -81,6 +89,7 @@ VIOLATIONS = [
      STEPPER + "oversample must be an integer >= 1, got 0"),
     ("acl", "grid", "grid.n=20",
      "grid.n, grid.L, grid.dim: n must be a power of two >= 16, got 20"),
+    ("acl", "grid", "grid.dim=1", "grid.n, grid.L, grid.dim: dim must be 3, got 1"),
     ("acl", "pde", "pde.p=6",
      "pde.p, pde.s: nonlinearity power p=6.0 outside the supported open range "
      "(3.6666666666666665, 5.0)"),
@@ -469,6 +478,21 @@ class TestRunExperiment:
         cell, _ = experiments._TABLE[name]
         cell(values, seed_list(values)[0])
         assert calls == [(fn, False, True) for fn in runs]
+
+    def test_acl_drifts_use_the_stepper_oversample(self):
+        # each rung's drift is max |E - E0| of the smoothed energy on the
+        # stepper's oversampled grid, along the same run with its states kept
+        values = build_config("acl", overrides=SHRUNK["acl"] + ["stepper.oversample=3"])
+        rows = experiments._acl_cell(values, 0)
+        params, stepper = _pde(values), _stepper(values)
+        traj = evolve(synthesize(_recipe(values, 0), _grid(values)), values["acl.horizon"],
+                      stepper, sample_interval=values["acl.sample_interval"])
+        assert [row[0] for row in rows] == list(values["acl.cutoffs"])
+        for cutoff, drift, e_sup in rows:
+            energies = np.array([smoothed_energy(w, cutoff, params.s, params.p, 3).total
+                                 for w in traj.states])
+            assert drift == float(np.max(np.abs(energies - energies[0])))
+            assert e_sup == float(np.max(energies))
 
     def test_rerun_is_byte_identical(self):
         values = build_config("continuity", overrides=TINY_CONTINUITY)
