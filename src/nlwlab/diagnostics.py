@@ -13,9 +13,9 @@ one per-state path, `OrbitMeter`: it measures each sampled state once as it
 is produced, and its methods apply the time reductions at the end.  Passed
 as the observer of `evolve` or `linear_trajectory` with keep_states=False,
 it keeps no orbit; `spacetime_norm`, `spacetime_report`, `energy_drift` and
-`norm_growth_ratio` run the same meter over a kept trajectory's states.  The
-per-state measurements write into workspace buffers (`fields`) and build no
-field.
+`norm_growth_ratio` run the same meter over a kept trajectory's states, at
+the trajectory's `oversample`.  The per-state measurements are `fields`
+kernels, which build no field.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    _oversampled_size,
-    _quadrature,
-    _sobolev,
-    _symbol,
-    _workspace,
+    _multiplied_lebesgue,
+    _multiplied_sobolev,
     power_multiplier,
     smoothing_multiplier,
     sobolev_norm,
@@ -84,19 +81,16 @@ def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
               oversample: int = 2) -> tuple[EnergyBreakdown, float, float]:
     """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares.
 
-    I v and then I u are written into the `full` buffer of the oversampled
-    workspace, with `apply_multiplier`'s product, and measured there with
-    `sobolev_norm`'s and `lebesgue_norm`'s arithmetic, so no field is built.
+    Each is a `fields` kernel on the unsmoothed coefficients with I as its
+    multiplier (`apply_multiplier`'s product), so no field is built: the
+    norms of I v and I u form the product in full, the potential forms
+    the k_z < n/2 half of I u.
     """
-    grid = state.grid
-    m = _oversampled_size(grid, oversample)
-    smoother = _symbol(grid, smoothing_multiplier(cutoff, s))
-    buf = _workspace(grid, m).full
-    # I v is reduced to its norm before I u overwrites it
-    velocity = _sobolev(grid, np.multiply(state.v.coeffs, smoother, out=buf), 0.0)
-    iu = np.multiply(state.u.coeffs, smoother, out=buf)
-    gradient = _sobolev(grid, iu, 1.0)
-    potential = _quadrature(grid, iu, p + 1.0, m) ** (p + 1.0) / (p + 1.0)
+    smoother = smoothing_multiplier(cutoff, s)
+    velocity = _multiplied_sobolev(state.v, (smoother,), 0.0)
+    gradient = _multiplied_sobolev(state.u, (smoother,), 1.0)
+    potential = (_multiplied_lebesgue(state.u, (smoother,), p + 1.0, oversample)
+                 ** (p + 1.0) / (p + 1.0))
     return (EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
                             potential=potential), velocity, gradient)
 
@@ -151,10 +145,8 @@ class OrbitMeter:
     Called on a state, it records for every cutoff N the spatial norm
     |D^(1-m) I_N u|_(L^r) on every triple given and, with `energies`, the
     smoothed energy at `oversample`, the factor of the run it measures.  The
-    norm multiplies the k_z < n/2 half of u's coefficients by D^(1-m) and
-    then by I, the order `apply_multiplier` uses, into the `half` buffer of
-    the factor-1 workspace and runs `_quadrature` from there, so it
-    allocates no field.  The methods named
+    norm is `fields._multiplied_lebesgue` of u with the multipliers
+    (D^(1-m), I) at factor 1, so it allocates no field.  The methods named
     after the public trajectory diagnostics reduce the records over the
     sample `times`; those functions feed a meter from a kept trajectory's
     states, so passing one as `observer=` to `evolve` or `linear_trajectory`
@@ -173,17 +165,12 @@ class OrbitMeter:
         self.count = 0
 
     def __call__(self, state: WaveState) -> None:
-        grid = state.grid
-        h = grid.n // 2
-        iu = _workspace(grid, grid.n).half
-        u = state.u.coeffs[..., :h]
         for cutoff in self.cutoffs:
-            smoother = _symbol(grid, smoothing_multiplier(cutoff, self.s))[..., :h]
+            smoother = smoothing_multiplier(cutoff, self.s)
             for triple in self.triples:
-                np.multiply(u, _symbol(grid, power_multiplier(1.0 - triple.m))[..., :h],
-                            out=iu)
-                np.multiply(iu, smoother, out=iu)
-                self._phi[cutoff, triple].append(_quadrature(grid, iu, triple.r, grid.n))
+                mults = (power_multiplier(1.0 - triple.m), smoother)
+                self._phi[cutoff, triple].append(
+                    _multiplied_lebesgue(state.u, mults, triple.r, 1))
             if self._energies:
                 self._energies[cutoff].append(
                     smoothed_energy(state, cutoff, self.s, self.p, self.oversample).total)
@@ -238,10 +225,11 @@ class OrbitMeter:
 
 def _metered(traj: Trajectory, cutoff: float, s: float, p: float, triples=(),
              energies: bool = False) -> OrbitMeter:
-    """An `OrbitMeter` at one cutoff, fed the trajectory's kept states."""
+    """An `OrbitMeter` at one cutoff and the trajectory's oversampling
+    factor, fed the trajectory's kept states."""
     if traj.states is None or not traj.states:
         raise DiagnosticsError("trajectory was sampled without keeping states")
-    meter = OrbitMeter((cutoff,), s, p, triples, energies)
+    meter = OrbitMeter((cutoff,), s, p, triples, energies, traj.oversample)
     for state in traj.states:
         meter(state)
     return meter
@@ -274,7 +262,8 @@ def spacetime_report(traj: Trajectory, params: PdeParams, cutoff: float) -> Norm
 # ---------------------------------------------------------------------------
 
 def energy_drift(traj: Trajectory, cutoff: float, s: float, p: float) -> DriftReport:
-    """sup_t |E(t) - E(0)| and sup_t E(t) of the smoothed energy."""
+    """sup_t |E(t) - E(0)| and sup_t E(t) of the smoothed energy, its
+    potential integrated at the trajectory's `oversample`."""
     return _metered(traj, cutoff, s, p, energies=True).energy_drift(cutoff)
 
 

@@ -46,14 +46,11 @@ from .fields import (
     Grid,
     SpectralField,
     FieldError,
+    _check_oversample,
+    _from_half,
     _kmag,
     _make,
-    _complete,
-    _fold_half,
-    _fold_slab,
-    _power,
-    _sample_slabs,
-    _workspace,
+    _projected_power,
     power_multiplier,
     apply_multiplier,
     sobolev_norm,
@@ -106,8 +103,7 @@ class StepperConfig:
             raise FieldError(f"dt must be positive and finite, got {self.dt}")
         if not self.p > 1.0:
             raise FieldError(f"nonlinearity power must exceed 1, got {self.p}")
-        if not (isinstance(self.oversample, int) and self.oversample >= 1):
-            raise FieldError(f"oversample must be an integer >= 1, got {self.oversample}")
+        _check_oversample(self.oversample)
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,8 @@ class Trajectory:
     A stepped orbit also reports what the solver did: the effective step h
     (see `step_plan`), the number of steps and the number of kick
     evaluations.  The exact free-wave orbit takes none (h is None).
+    The kept-trajectory diagnostics integrate the potential at `oversample`,
+    the kick's factor (the free-wave orbit keeps the default, 2).
     """
 
     times: np.ndarray
@@ -125,6 +123,7 @@ class Trajectory:
     h: float | None = None
     steps: int = 0
     kicks: int = 0
+    oversample: int = 2
 
 
 def pair_sobolev_norm(state: WaveState, sigma: float) -> float:
@@ -163,16 +162,16 @@ def _rotation(grid: Grid, duration: float):
 def propagate_linear(state: WaveState, duration: float) -> WaveState:
     """Exact free-wave propagation: per-mode rotation at angular speed |k|.
 
-    The k_z < n/2 half is rotated and completed (`fields._complete`); the
-    symbols are even in k, so the result equals the rotated full layout
-    value for value.
+    The k_z < n/2 half is rotated and completed to a field; the symbols
+    are even in k, so the result equals the rotated full layout value for
+    value.
     """
     grid = state.grid
     cos, sinc, neg_ksin = _rotation(grid, duration)
     h = grid.n // 2
     uc, vc = state.u.coeffs[..., :h], state.v.coeffs[..., :h]
-    return WaveState(u=_make(grid, _complete(grid, cos * uc + sinc * vc)),
-                     v=_make(grid, _complete(grid, neg_ksin * uc + cos * vc)),
+    return WaveState(u=_from_half(grid, cos * uc + sinc * vc),
+                     v=_from_half(grid, neg_ksin * uc + cos * vc),
                      t=state.t + duration)
 
 
@@ -183,25 +182,16 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back.
 
-    Takes the full or the k_z < n/2 half coefficients of u and returns the
-    half of the result (`fields._fold_half`).  Runs in the cached (grid, m)
-    workspace, one slab of x-planes at a time (eight at m > n in 3-D): each
-    slab's samples u are multiplied in place by |u|^(p-1) (`fields._power`)
-    and transformed back into the slab's rows (`fields._fold_slab`) before
-    the next slab is sampled.  Only the returned array is new.  A whole p - 1
-    runs by IEEE products (p = 4: u *= w; w *= w; u *= w with w = |u|), any
-    other by `np.power`.
+    Takes u's full or k_z < n/2 half coefficients and returns the half of the
+    result (`fields._projected_power` at e = p - 1): a whole p - 1 by IEEE
+    products (p = 4: u *= w; w *= w; u *= w with w = |u|), any other by `np.power`.
     """
-    m = oversample * grid.n
-    ws = _workspace(grid, m)
-    for rows, u in _sample_slabs(grid, ucoef, m, ws):
-        _fold_slab(grid, _power(np.abs(u, out=ws.work), p - 1.0, u, times=True), rows, ws)
-    return _fold_half(grid, ws)
+    return _projected_power(grid, ucoef, p - 1.0, oversample)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
     """Projection of |u|^(p-1) u onto the resolved (mean-free) band."""
-    return _make(u.grid, _complete(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample)))
+    return _from_half(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample))
 
 
 def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
@@ -269,8 +259,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
-        snap = WaveState(u=_make(grid, _complete(grid, u)),
-                         v=_make(grid, _complete(grid, v)), t=float(times[i]))
+        snap = WaveState(u=_from_half(grid, u), v=_from_half(grid, v), t=float(times[i]))
         if states is not None:
             states.append(snap)
         if observer is not None:
@@ -303,7 +292,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
         del current  # the last sample is released before the next is built
         current = snapshot(i)
     return Trajectory(times=times, states=states, final=current, h=h,
-                      steps=n_samples * steps_per, kicks=kicks)
+                      steps=n_samples * steps_per, kicks=kicks, oversample=ov)
 
 
 def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, *,
@@ -352,7 +341,7 @@ def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
         raise FieldError(f"residual requires equispaced times, got {dt1} and {dt2}")
     acc = (nxt.u.coeffs - 2.0 * mid.u.coeffs + prev.u.coeffs) / (dt1 * dt2)
     lap = apply_multiplier(mid.u, power_multiplier(2.0)).coeffs
-    g = _complete(mid.grid, _nonlinear_raw(mid.grid, mid.u.coeffs, p, oversample))
+    g = _from_half(mid.grid, _nonlinear_raw(mid.grid, mid.u.coeffs, p, oversample)).coeffs
     res = _make(mid.grid, acc + lap + g)
     return sobolev_norm(res, 0.0)
 

@@ -32,22 +32,19 @@ writes into them through numpy's `out=`.  The physical-space step is
 pointwise and every step after the axis-0 inverse is independent per
 x-plane, so an oversampled pass (m > n) streams its m x-planes in eight
 slabs: the axis-0 inverse runs once, into an (m, n, n/2) buffer, and each
-slab is then sampled (`_sample_slabs`), handed to the caller and, in the
-kick, transformed back into its own rows of that buffer (`_fold_slab`);
-the axis-0 forward transform runs once more at the end (`_fold_half`).  A
+slab is then sampled (`_sample_slabs`), reduced or, in the kick,
+transformed back into its own rows of that buffer (`_fold_slab`); the
+axis-0 forward transform runs once more at the end (`_fold_half`).  A
 pass at m = n is one slab.  Every per-row transform is the one the
 whole-array pass runs, so the results are the same bits, and the workspace
-holds no m^3 array: 1.1 MiB at n = 32, m = 64, against
-5.6 MiB for whole m^3 buffers.  So the nonlinear kick
-(`dynamics._nonlinear_raw`) allocates only the half it returns, and the
-quadrature behind `lebesgue_norm` (`_quadrature`) allocates nothing but its
-eight slab sums.  The per-state measurements of `diagnostics` allocate no
-field either:
-`diagnostics.OrbitMeter` (behind `spacetime_norm`) writes each state's
-multiplied k_z < n/2 half into the factor-1 workspace's `half` buffer and
-runs `_quadrature` from there, and the smoothed energy writes I v, then
-I u, into the oversampled workspace's `full` buffer and measures it with
-`_sobolev` (the arithmetic of `sobolev_norm`) and `_quadrature`.
+holds no m^3 array: 1.1 MiB at n = 32, m = 64, against 5.6 MiB for whole
+m^3 buffers.
+
+Only this module drives the workspaces.  Other modules call its kernels,
+which build no field: `_projected_power` (the kick; it allocates only the
+half it returns), `_multiplied_lebesgue` and `_multiplied_sobolev` (norms of
+multiplied coefficients, the product held in a workspace buffer) and
+`_from_half`.  A quadrature allocates nothing but its eight slab sums.
 `to_physical` copies its samples out of the (grid, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -371,11 +368,15 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
     The zero mode carries no weight for any sigma (it is zero by convention,
     and negative orders are undefined there).
     """
-    return _sobolev(field.grid, field.coeffs, sigma)
+    return _multiplied_sobolev(field, (), sigma)
 
 
-def _sobolev(grid: Grid, c: np.ndarray, sigma: float) -> float:
-    """`sobolev_norm` of full-layout coefficients, such as a workspace buffer."""
+def _multiplied_sobolev(field: SpectralField, specs, sigma: float) -> float:
+    """`sobolev_norm(apply_multiplier(field, specs), sigma)`, bit for bit, with
+    the product held in the `full` buffer of the (grid, n) workspace."""
+    grid, c = field.grid, field.coeffs
+    for spec in specs:
+        c = np.multiply(c, _symbol(grid, spec), out=_workspace(grid, grid.n).full)
     power = c.real * c.real
     power += c.imag * c.imag
     if sigma != 0.0:
@@ -429,7 +430,7 @@ _SLABS = 8
 class _Workspace:
     """Reused buffers for the transforms between a grid and m points:
     `_sample_slabs`, `_fold_slab` and `_fold_half` take the workspace of their
-    m as a required argument.
+    m as a required argument.  Only this module's kernels use them.
 
     A pass at m > n streams its m x-planes in `_SLABS` slabs of m/8 planes
     (`slabs`, the row ranges); at m = n one slab holds them all.
@@ -441,14 +442,13 @@ class _Workspace:
       transformed;
     * `phys` holds one slab's m-point samples (the kick and the quadrature
       then write their `_power` into it);
-    * `work` is real slab scratch for the caller.  Its memory also holds the
+    * `work` is real slab scratch for `_power`.  Its memory also holds the
       slab's rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
-      which `_fold_half` writes once every slab is in, and `half`, k_z < n/2
-      coefficients the caller builds for `_sample_slabs`, which has read them
-      into `rows` before the caller writes `work` (a `_fold_slab` at m, such
-      as `from_physical` at m = n, overwrites it too);
-    * `full` holds full-layout coefficients the caller builds, apart from
-      every other buffer; its pages are touched only by a caller that uses it.
+      which `_fold_half` writes once every slab is in, and `half`, the
+      multiplied k_z < n/2 coefficients of `_multiplied_lebesgue`, which
+      `_sample_slabs` has read into `rows` before `work` is written;
+    * `full` holds the full-layout product of `_multiplied_sobolev`, apart
+      from every other buffer; its pages are touched only once it is used.
 
     At m = 2n this is 1.1 MiB per n = 32 grid, and `full` 0.5 MiB more.
     """
@@ -552,10 +552,11 @@ def _band(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return _complete(grid, _half_band(grid, samples, _workspace(grid, samples.shape[0])))
 
 
-def _oversampled_size(grid: Grid, factor: int) -> int:
-    if factor < 1:
-        raise FieldError(f"oversample factor must be >= 1, got {factor}")
-    return factor * grid.n
+def _check_oversample(factor) -> int:
+    """The oversampling factor, which must be an integer >= 1 (FieldError)."""
+    if not (isinstance(factor, int) and factor >= 1):
+        raise FieldError(f"oversample must be an integer >= 1, got {factor}")
+    return factor
 
 
 def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
@@ -568,22 +569,7 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
     factor 6), which matters for conserved-energy diagnostics.  A whole r
     forms |u|^r by products (`_power`), any other r by `np.power`.
     """
-    if not (1.0 <= r and math.isfinite(r)):
-        raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
-    m = _oversampled_size(field.grid, oversample)
-    return _quadrature(field.grid, field.coeffs, r, m)
-
-
-def _quadrature(grid: Grid, coeffs: np.ndarray, r: float, m: int) -> float:
-    """`lebesgue_norm` of full or half coefficients on the m-point grid: the
-    samples, |.|^r (`_power`, into the samples' buffer) and the sums all run
-    slab by slab in the workspace of (grid, m).  The slab sums are added by
-    one more `np.sum`, which gives numpy's pairwise sum of the whole."""
-    ws = _workspace(grid, m)
-    sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
-            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
-    cell = grid.L ** grid.dim / m ** grid.dim
-    return float(cell * np.sum(sums)) ** (1.0 / r)
+    return _multiplied_lebesgue(field, (), r, oversample)
 
 
 def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:
@@ -618,6 +604,41 @@ def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:
         if k:
             w *= w
     return out
+
+
+def _from_half(grid: Grid, half: np.ndarray) -> SpectralField:
+    """The field, on a new array, whose k_z < n/2 half is given (`_complete`)."""
+    return _make(grid, _complete(grid, half))
+
+
+def _projected_power(grid: Grid, coeffs: np.ndarray, e: float, oversample: int) -> np.ndarray:
+    """Band projection of u |u|^e, sampled `oversample` times finer, as its
+    k_z < n/2 half, the only new array; coeffs is u's full or half.  Each
+    slab's samples are multiplied by |u|^e (`_power`) and folded back
+    (`_fold_slab`) before the next slab is sampled."""
+    m = _check_oversample(oversample) * grid.n
+    ws = _workspace(grid, m)
+    for rows, u in _sample_slabs(grid, coeffs, m, ws):
+        _fold_slab(grid, _power(np.abs(u, out=ws.work), e, u, times=True), rows, ws)
+    return _fold_half(grid, ws)
+
+
+def _multiplied_lebesgue(field: SpectralField, specs, r: float, oversample: int) -> float:
+    """`lebesgue_norm(apply_multiplier(field, specs), r, oversample)`, bit for
+    bit, with the product's k_z < n/2 half held in the workspace's `half`.
+    The samples, |.|^r (`_power`, into the samples' buffer) and the sums all
+    run slab by slab; the slab sums are added by one more `np.sum`, which
+    gives numpy's pairwise sum of the whole."""
+    if not (1.0 <= r and math.isfinite(r)):
+        raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
+    grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
+    m = _check_oversample(oversample) * grid.n
+    ws = _workspace(grid, m)
+    for spec in specs:
+        coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
+    sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
+            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
+    return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)
 
 
 def frequency_split(field: SpectralField, cutoff: float) -> tuple[SpectralField, SpectralField]:

@@ -38,7 +38,7 @@ from nlwlab.dynamics import (
 )
 from nlwlab.fields import (
     Grid,
-    _quadrature,
+    _sample_slabs,
     apply_multiplier,
     from_coeffs,
     from_physical,
@@ -209,18 +209,20 @@ class TestSpacetimeNorm:
                               final=states[-1])
         before = [(w.u.coeffs.copy(), w.v.coeffs.copy()) for w in traj.states]
         # a 1-ulp change in a coefficient rarely reaches the norm, so the
-        # coefficients each quadrature is handed are compared too
+        # coefficients each quadrature samples are compared too
         handed = []
 
-        def spy(grid, coeffs, r, m):
+        def spy(grid, coeffs, m, ws):
             handed.append(coeffs.copy())
-            return _quadrature(grid, coeffs, r, m)
+            return _sample_slabs(grid, coeffs, m, ws)
 
-        monkeypatch.setattr("nlwlab.diagnostics._quadrature", spy)
+        monkeypatch.setattr("nlwlab.fields._sample_slabs", spy)
         for triple in reference_triples(P4):
             for cutoff in (2.0, 4.0):
                 handed.clear()
                 got = spacetime_norm(traj, triple, P4, cutoff)
+                # the reference norms below reach the spy too
+                inside = list(handed)
                 mults = (power_multiplier(1.0 - triple.m),
                          smoothing_multiplier(cutoff, P4.s))
                 iu = [apply_multiplier(w.u, mults) for w in traj.states]
@@ -230,8 +232,8 @@ class TestSpacetimeNorm:
                 else:
                     assert got == float(np.trapezoid(phi ** triple.q, traj.times)
                                         ** (1.0 / triple.q))
-                assert len(handed) == len(iu)
-                for a, f in zip(handed, iu):
+                assert len(inside) == len(iu)
+                for a, f in zip(inside, iu):
                     assert np.array_equal(a, f.coeffs[..., :G3.n // 2])
         for w, (u, v) in zip(traj.states, before):
             assert np.array_equal(w.u.coeffs, u) and np.array_equal(w.v.coeffs, v)

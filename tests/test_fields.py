@@ -5,19 +5,22 @@ Exactness tests pin the conventions everything downstream leans on: the
 and the closed-form norms of single cosine modes.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlwlab
 from nlwlab.fields import (
     FieldError,
     Grid,
     _band,
+    _check_oversample,
     _complete,
     _half_band,
-    _oversampled_size,
     _power,
     _resize,
     _reverse_indices,
@@ -40,9 +43,9 @@ from nlwlab.fields import (
     wavenumber_of_index,
     zero_field,
 )
-from nlwlab.diagnostics import OrbitMeter
-from nlwlab.dynamics import WaveState, _nonlinear_raw, nonlinear_term
-from nlwlab.params import TripleMQR
+from nlwlab.diagnostics import OrbitMeter, smoothed_energy
+from nlwlab.dynamics import WaveState, _nonlinear_raw, nonlinear_term, pde_residual, true_energy
+from nlwlab.params import PdeParams, TripleMQR, reference_triples
 from test_spectral_reference import (
     BIT_SHAPES, block_slices, reference_band, reference_samples)
 
@@ -491,7 +494,7 @@ def oversampled_values(field, factor):
     the padded transform that the kick and `lebesgue_norm` stream slab by
     slab through a workspace, assembled into a new array."""
     grid = field.grid
-    m = _oversampled_size(grid, factor)
+    m = _check_oversample(factor) * grid.n
     out = np.empty((m,) * grid.dim)
     for rows, samples in _sample_slabs(grid, field.coeffs, m, _workspace(grid, m)):
         out[rows] = samples
@@ -535,6 +538,68 @@ class TestWorkspaceMemory:
         f = random_field(G32, 45, decay=1.0)
         _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.0, 2))
         assert peak < 64 * 2 ** 10
+
+    def test_meter_builds_no_field(self):
+        # each (cutoff, triple) norm multiplies u's half in a workspace
+        # buffer; composing `apply_multiplier` would build a 512 KiB field
+        meter = OrbitMeter((2.0, 4.0), 0.95, 4.0, reference_triples(PdeParams(p=4.0, s=0.95)))
+        state = WaveState(u=random_field(G32, 46, decay=1.0), v=random_field(G32, 47))
+        _, peak = self.traced_peak(lambda: meter(state))
+        assert peak < G32.num_points * 16
+
+
+class TestOversampleFactor:
+    """Every entry point takes the factor under `StepperConfig`'s rule."""
+
+    @staticmethod
+    def states():
+        u = random_field(G3, 48, decay=1.0)
+        return [WaveState(u=u * (1.0 + 0.1 * i), v=u, t=0.25 * i) for i in range(3)]
+
+    @pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0])
+    @pytest.mark.parametrize("entry", ["nonlinear_term", "pde_residual", "lebesgue_norm",
+                                       "smoothed_energy", "true_energy"])
+    def test_rejects_anything_but_an_integer_at_least_one(self, entry, factor):
+        w = self.states()
+        call = {
+            "nonlinear_term": lambda: nonlinear_term(w[0].u, 4.0, factor),
+            "pde_residual": lambda: pde_residual(*w, 4.0, factor),
+            "lebesgue_norm": lambda: lebesgue_norm(w[0].u, 5.0, factor),
+            "smoothed_energy": lambda: smoothed_energy(w[0], 4.0, 0.95, 4.0, factor),
+            "true_energy": lambda: true_energy(w[0], 4.0, factor),
+        }[entry]
+        with pytest.raises(FieldError, match=f"^oversample must be an integer >= 1, "
+                                             f"got {factor}$"):
+            call()
+
+
+class TestWorkspaceBoundary:
+    """Only `fields` drives the transform workspaces: no other module of the
+    package imports or names its workspace, slab, power or completion helpers."""
+
+    SEALED = {"_workspace", "_Workspace", "_sample_slabs", "_fold_slab", "_fold_half",
+              "_power", "_quadrature", "_sobolev", "_symbol", "_complete"}
+
+    def test_no_other_module_names_a_workspace_helper(self):
+        root = Path(nlwlab.__file__).parent
+        modules = sorted(root.rglob("*.py"))
+        assert root / "fields.py" in modules and root / "dynamics.py" in modules
+        found = []
+        for path in modules:
+            if path == root / "fields.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.alias):
+                    names = {node.name, node.name.rsplit(".", 1)[-1]}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                found += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in names & self.SEALED]
+        assert found == []
 
 
 class TestOversampledValues:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nlwlab.data import synthesize
-from nlwlab.diagnostics import smoothed_energy
+from nlwlab.diagnostics import energy_drift, norm_growth_ratio, smoothed_energy
 from nlwlab.dynamics import evolve
 from nlwlab.harness import experiments
 from nlwlab.harness.cli import main
@@ -493,6 +493,27 @@ class TestRunExperiment:
                                  for w in traj.states])
             assert drift == float(np.max(np.abs(energies - energies[0])))
             assert e_sup == float(np.max(energies))
+
+    @pytest.mark.parametrize("name", ["acl", "lemma-b"])
+    def test_kept_trajectory_diagnostics_use_the_run_oversample(self, name):
+        # the public functions over the same run with its states kept give
+        # the cells' values bit for bit, at the stepper's factor, not 2
+        values = build_config(name, overrides=SHRUNK[name] + ["stepper.oversample=3"])
+        params, stepper = _pde(values), _stepper(values)
+        prefix = "acl" if name == "acl" else "bracket"
+        traj = evolve(synthesize(_recipe(values, 0), _grid(values)),
+                      values[f"{prefix}.horizon"], stepper,
+                      sample_interval=values[f"{prefix}.sample_interval"])
+        assert traj.oversample == 3
+        for row in experiments._TABLE[name][0](values, 0):
+            cutoff = row[0]
+            if name == "acl":
+                rep = energy_drift(traj, cutoff, params.s, params.p)
+                assert row == (cutoff, rep.drift, rep.e_sup)
+            else:
+                rep = norm_growth_ratio(traj, params, cutoff)
+                assert row == (cutoff, rep.initial, rep.final, rep.e_sup, rep.z_max,
+                               rep.ratio)
 
     def test_rerun_is_byte_identical(self):
         values = build_config("continuity", overrides=TINY_CONTINUITY)
