@@ -60,6 +60,8 @@ class DataRecipe:
     window: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         if not (0.0 < self.k_min < self.k_max):
             raise DataError(f"need 0 < k_min < k_max, got [{self.k_min}, {self.k_max}]")
         if not self.size_hs > 0.0:

@@ -27,12 +27,11 @@ import numpy as np
 
 from .fields import (
     _multiplied_lebesgue,
-    _multiplied_sobolev,
     power_multiplier,
     smoothing_multiplier,
     sobolev_norm,
 )
-from .dynamics import Trajectory, WaveState, pair_sobolev_norm
+from .dynamics import Trajectory, WaveState, _energy_norms, pair_sobolev_norm
 from .params import PdeParams, TripleMQR, data_size, is_allowed_triple, reference_triples
 
 
@@ -81,16 +80,12 @@ def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
               oversample: int = 2) -> tuple[EnergyBreakdown, float, float]:
     """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares.
 
-    Each is a `fields` kernel on the unsmoothed coefficients with I as its
-    multiplier (`apply_multiplier`'s product), so no field is built: the
-    norms of I v and I u form the product in full, the potential forms
-    the k_z < n/2 half of I u.
+    It is `dynamics._energy_norms`, the functional of `true_energy`, with I
+    as the one multiplier, so no field is built: the norms of I v and I u
+    form the product in full, the potential forms the k_z < n/2 half of I u.
     """
-    smoother = smoothing_multiplier(cutoff, s)
-    velocity = _multiplied_sobolev(state.v, (smoother,), 0.0)
-    gradient = _multiplied_sobolev(state.u, (smoother,), 1.0)
-    potential = (_multiplied_lebesgue(state.u, (smoother,), p + 1.0, oversample)
-                 ** (p + 1.0) / (p + 1.0))
+    velocity, gradient, potential = _energy_norms(
+        state, (smoothing_multiplier(cutoff, s),), p, oversample)
     return (EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
                             potential=potential), velocity, gradient)
 

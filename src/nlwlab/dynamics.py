@@ -50,11 +50,12 @@ from .fields import (
     _from_half,
     _kmag,
     _make,
+    _multiplied_lebesgue,
+    _multiplied_sobolev,
     _projected_power,
     power_multiplier,
     apply_multiplier,
     sobolev_norm,
-    lebesgue_norm,
 )
 
 
@@ -101,9 +102,15 @@ class StepperConfig:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise FieldError(f"dt must be positive and finite, got {self.dt}")
-        if not self.p > 1.0:
-            raise FieldError(f"nonlinearity power must exceed 1, got {self.p}")
+        _check_power(self.p)
         _check_oversample(self.oversample)
+
+
+def _check_power(p) -> float:
+    """The nonlinearity power, which must exceed 1 (FieldError)."""
+    if not p > 1.0:
+        raise FieldError(f"nonlinearity power must exceed 1, got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,9 @@ def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> 
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
-    """Projection of |u|^(p-1) u onto the resolved (mean-free) band."""
-    return _from_half(u.grid, _nonlinear_raw(u.grid, u.coeffs, p, oversample))
+    """Projection of |u|^(p-1) u onto the resolved (mean-free) band; p must
+    exceed 1, as in `StepperConfig`."""
+    return _from_half(u.grid, _nonlinear_raw(u.grid, u.coeffs, _check_power(p), oversample))
 
 
 def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
@@ -341,19 +349,29 @@ def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
         raise FieldError(f"residual requires equispaced times, got {dt1} and {dt2}")
     acc = (nxt.u.coeffs - 2.0 * mid.u.coeffs + prev.u.coeffs) / (dt1 * dt2)
     lap = apply_multiplier(mid.u, power_multiplier(2.0)).coeffs
-    g = _from_half(mid.grid, _nonlinear_raw(mid.grid, mid.u.coeffs, p, oversample)).coeffs
+    g = nonlinear_term(mid.u, p, oversample).coeffs
     res = _make(mid.grid, acc + lap + g)
     return sobolev_norm(res, 0.0)
+
+
+def _energy_norms(state: WaveState, specs, p: float,
+                  oversample: int) -> tuple[float, float, float]:
+    """|v|, |grad u| and the potential |u|^(p+1)/(p+1), integrated `oversample`
+    times finer, of the state times the multipliers `specs`, by `fields`
+    kernels that build no field: `true_energy` and the smoothed energy."""
+    velocity = _multiplied_sobolev(state.v, specs, 0.0)
+    gradient = _multiplied_sobolev(state.u, specs, 1.0)
+    potential = (_multiplied_lebesgue(state.u, specs, p + 1.0, oversample)
+                 ** (p + 1.0) / (p + 1.0))
+    return velocity, gradient, potential
 
 
 def true_energy(state: WaveState, p: float, oversample: int = 2) -> float:
     """Conserved energy: |v|^2/2 + |grad u|^2/2 + |u|^(p+1)/(p+1), integrated.
 
-    The potential is integrated on the same oversampled grid the kick uses;
-    that quadrature (not the base grid sum) is what the split scheme conserves
-    up to its dt^2 error.
+    `_energy_norms` with no multipliers integrates the potential on the same
+    oversampled grid the kick uses; that quadrature (not the base grid sum)
+    is what the split scheme conserves up to its dt^2 error.
     """
-    kin = 0.5 * sobolev_norm(state.v, 0.0) ** 2
-    grad = 0.5 * sobolev_norm(state.u, 1.0) ** 2
-    pot = lebesgue_norm(state.u, p + 1.0, oversample) ** (p + 1.0) / (p + 1.0)
-    return kin + grad + pot
+    velocity, gradient, potential = _energy_norms(state, (), p, oversample)
+    return 0.5 * velocity ** 2 + 0.5 * gradient ** 2 + potential

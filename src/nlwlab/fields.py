@@ -17,7 +17,8 @@ spectrum (k_z < n/2 on the last axis; the k_z = n/2 Nyquist plane is zero).
 `_half_band` returns that half: its k_z = 0 plane, which the dropped k_z < 0
 half shares, is replaced by its Hermitian part, and the mean and the Nyquist
 planes are zeroed.  `_complete` rebuilds the full fftn layout from such a
-half by Hermitian reflection, and `_band` is the two in turn.  Both
+half by Hermitian reflection, and `from_physical` is the two in turn.
+`_conj_mirror` writes every k -> -k reflection, `from_coeffs`'s too.  Both
 transforms run numpy's per-axis irfftn/rfftn steps in numpy's axis order,
 pruned to skip the columns that are all zero padding (or are truncated
 away), so their results are bit for bit those of the unpruned transforms.
@@ -26,9 +27,10 @@ integrator (`dynamics.evolve`) carries only halves between samples, and the
 exact free-wave propagator (`dynamics.propagate_linear`) rotates only the
 half.
 
-Every transform runs in a workspace: the buffers of `_workspace(grid, m)`
-for its m-point samples, built once per process.  Every intermediate step
-writes into them through numpy's `out=`.  The physical-space step is
+Every transform runs in a workspace: the buffers of `_workspace(n, m)` for
+its grid's n and its m-point samples, built once per process and shared by
+every grid of n points.  Every intermediate step writes into them through
+numpy's `out=`.  The physical-space step is
 pointwise and every step after the axis-0 inverse is independent per
 x-plane, so an oversampled pass (m > n) streams its m x-planes in eight
 slabs: the axis-0 inverse runs once, into an (m, n, n/2) buffer, and each
@@ -45,7 +47,7 @@ which build no field: `_projected_power` (the kick; it allocates only the
 half it returns), `_multiplied_lebesgue` and `_multiplied_sobolev` (norms of
 multiplied coefficients, the product held in a workspace buffer) and
 `_from_half`.  A quadrature allocates nothing but its eight slab sums.
-`to_physical` copies its samples out of the (grid, n) workspace, and
+`to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
 
@@ -185,29 +187,23 @@ def _clean(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _reverse_indices(c: np.ndarray) -> np.ndarray:
-    """Coefficient array evaluated at -k: flip every axis, then roll by one."""
-    out = np.flip(c)
-    return np.roll(out, shift=(1,) * c.ndim, axis=tuple(range(c.ndim)))
-
-
-def hermitian_symmetrize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Project onto coefficients of a real field: c <- (c + conj(c at -k)) / 2."""
-    return 0.5 * (coeffs + np.conj(_reverse_indices(coeffs)))
-
-
 def from_coeffs(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     """Build a field from arbitrary complex coefficients.
 
     The input is projected onto the package conventions: Hermitian symmetry,
-    zero mean mode, empty Nyquist planes.  Already-conforming input round-trips
-    bit for bit.
+    c <- (c + conj(c at -k)) / 2 with the reflection of `_conj_mirror`, zero
+    mean mode, empty Nyquist planes.  Already-conforming input round-trips
+    value for value (a zero part may change its sign).
     """
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape != grid.shape:
         raise FieldError(f"coefficient shape {arr.shape} != grid shape {grid.shape}")
-    arr = hermitian_symmetrize(grid, arr)
-    return _make(grid, _clean(grid, arr))
+    out = np.empty(grid.shape, dtype=np.complex128)
+    _conj_mirror(arr[..., :1], out[..., :1])
+    _conj_mirror(arr[..., :0:-1], out[..., 1:])
+    out += arr
+    out *= 0.5
+    return _make(grid, _clean(grid, out))
 
 
 def zero_field(grid: Grid) -> SpectralField:
@@ -217,22 +213,22 @@ def zero_field(grid: Grid) -> SpectralField:
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
     """Forward transform of real grid samples, normalized by 1/n^3.
 
-    It runs in the (grid, n) workspace; the coefficients are a new array.
+    It runs in the (n, n) workspace; the coefficients are a new array.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape != grid.shape:
         raise FieldError(f"sample shape {arr.shape} != grid shape {grid.shape}")
-    return _make(grid, _band(grid, arr))
+    return _from_half(grid, _half_band(grid, arr, _workspace(grid.n, grid.n)))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Inverse transform to real grid samples.
 
-    It runs in the (grid, n) workspace and returns a copy of the samples.
+    It runs in the (n, n) workspace and returns a copy of the samples.
     """
     grid = field.grid
     out = np.empty(grid.shape)
-    for rows, samples in _sample_slabs(grid, field.coeffs, grid.n, _workspace(grid, grid.n)):
+    for rows, samples in _sample_slabs(grid, field.coeffs, grid.n, _workspace(grid.n, grid.n)):
         out[rows] = samples
     return out
 
@@ -373,10 +369,10 @@ def sobolev_norm(field: SpectralField, sigma: float) -> float:
 
 def _multiplied_sobolev(field: SpectralField, specs, sigma: float) -> float:
     """`sobolev_norm(apply_multiplier(field, specs), sigma)`, bit for bit, with
-    the product held in the `full` buffer of the (grid, n) workspace."""
+    the product held in the `full` buffer of the (n, n) workspace."""
     grid, c = field.grid, field.coeffs
     for spec in specs:
-        c = np.multiply(c, _symbol(grid, spec), out=_workspace(grid, grid.n).full)
+        c = np.multiply(c, _symbol(grid, spec), out=_workspace(grid.n, grid.n).full)
     power = c.real * c.real
     power += c.imag * c.imag
     if sigma != 0.0:
@@ -428,9 +424,10 @@ _SLABS = 8
 
 
 class _Workspace:
-    """Reused buffers for the transforms between a grid and m points:
-    `_sample_slabs`, `_fold_slab` and `_fold_half` take the workspace of their
-    m as a required argument.  Only this module's kernels use them.
+    """Reused buffers for the transforms between n and m points per axis, so
+    grids that differ only in box length share them: `_sample_slabs`,
+    `_fold_slab` and `_fold_half` take the workspace of their grid's n and
+    their m as a required argument.  Only this module's kernels use them.
 
     A pass at m > n streams its m x-planes in `_SLABS` slabs of m/8 planes
     (`slabs`, the row ranges); at m = n one slab holds them all.
@@ -450,11 +447,11 @@ class _Workspace:
     * `full` holds the full-layout product of `_multiplied_sobolev`, apart
       from every other buffer; its pages are touched only once it is used.
 
-    At m = 2n this is 1.1 MiB per n = 32 grid, and `full` 0.5 MiB more.
+    At n = 32, m = 64 this is 1.1 MiB, and `full` 0.5 MiB more.
     """
 
-    def __init__(self, grid: Grid, m: int):
-        n, h = grid.n, grid.n // 2
+    def __init__(self, n: int, m: int):
+        h = n // 2
         planes = m // _SLABS if m > n else m
         self.slabs = [slice(i, i + planes) for i in range(0, m, planes)]
         self.rows = np.empty((m, n, h), dtype=np.complex128)
@@ -465,13 +462,13 @@ class _Workspace:
         self.mirror = flat[:n * n].reshape(n, n, 1)
         self.half = flat[:n * n * h].reshape(n, n, h)
         self.work = flat.view(np.float64)[:planes * m * m].reshape(planes, m, m)
-        self.full = np.empty(grid.shape, dtype=np.complex128)
+        self.full = np.empty((n, n, n), dtype=np.complex128)
 
 
 @lru_cache(maxsize=4)
-def _workspace(grid: Grid, m: int) -> _Workspace:
-    """The reused workspace of (grid, m), built once per process like `_symbol`."""
-    return _Workspace(grid, m)
+def _workspace(n: int, m: int) -> _Workspace:
+    """The reused workspace of (n, m), built once per process like `_symbol`."""
+    return _Workspace(n, m)
 
 
 def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
@@ -523,7 +520,7 @@ def _fold_half(grid: Grid, ws: _Workspace) -> np.ndarray:
 
 def _half_band(grid: Grid, samples: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Resolved k_z < n/2 half of the coefficients of real samples on any
-    m-point grid (m >= n), a new array; `ws`, the workspace of (grid, m),
+    m-point grid (m >= n), a new array; `ws`, the workspace of (grid.n, m),
     holds every intermediate step.
 
     The steps and axis order of rfftn, pruned: each leading axis is truncated
@@ -544,12 +541,6 @@ def _complete(grid: Grid, half: np.ndarray) -> np.ndarray:
     out[..., h] = 0.0
     _conj_mirror(half[..., 1:], out[..., :h:-1])
     return out
-
-
-def _band(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """Resolved-band coefficients of real samples in the full layout, a new
-    array; the transform runs in the workspace of (grid, m), m = len(samples)."""
-    return _complete(grid, _half_band(grid, samples, _workspace(grid, samples.shape[0])))
 
 
 def _check_oversample(factor) -> int:
@@ -617,7 +608,7 @@ def _projected_power(grid: Grid, coeffs: np.ndarray, e: float, oversample: int) 
     slab's samples are multiplied by |u|^e (`_power`) and folded back
     (`_fold_slab`) before the next slab is sampled."""
     m = _check_oversample(oversample) * grid.n
-    ws = _workspace(grid, m)
+    ws = _workspace(grid.n, m)
     for rows, u in _sample_slabs(grid, coeffs, m, ws):
         _fold_slab(grid, _power(np.abs(u, out=ws.work), e, u, times=True), rows, ws)
     return _fold_half(grid, ws)
@@ -633,7 +624,7 @@ def _multiplied_lebesgue(field: SpectralField, specs, r: float, oversample: int)
         raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
     grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
     m = _check_oversample(oversample) * grid.n
-    ws = _workspace(grid, m)
+    ws = _workspace(grid.n, m)
     for spec in specs:
         coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
     sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))

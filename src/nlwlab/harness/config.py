@@ -6,12 +6,12 @@ knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
 Lists are comma-separated, floats must be finite, and `build_config` checks
 the rows of `CONSTRAINTS`, then builds what the cells build: the grid, PDE
-parameters (and, for `growth`, its exponents), stepper, data recipe and every
-run's `dynamics.step_plan`.  A library error there becomes a ConfigError
-naming the keys, so a bad config fails before any cell runs.  The resolved
-configuration is hashed (sha256 of the canonical key=value listing) and the
-hash is stamped into every output so records from different configurations
-can never be silently mixed.
+parameters (and, for `growth`, its exponents), the smoothing multiplier of
+every cutoff, stepper, data recipe and every run's `dynamics.step_plan`.  A
+library error there becomes a ConfigError naming the keys, so a bad config
+fails before any cell runs.  The resolved configuration is hashed (sha256 of
+the canonical key=value listing) and the hash is stamped into every output
+so records from different configurations can never be silently mixed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import pairwise
 
 from ..data import DataError, DataRecipe, _dyadic_exponent
 from ..dynamics import StepperConfig, step_plan
-from ..fields import FieldError, Grid
+from ..fields import FieldError, Grid, smoothing_multiplier
 from ..params import ParamError, PdeParams, growth_exponents
 from .records import SCHEMAS, canonical_value
 
@@ -197,7 +197,11 @@ _TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
 # experiment -> (message, predicate) rows: the rules no library object holds,
 # checked in order by build_config; a row may rely on the rows before it.
 CONSTRAINTS: dict[str, tuple] = {
-    "acl": (_at_least("acl.cutoffs", 3),),
+    "acl": (
+        _at_least("acl.cutoffs", 3),
+        # its judge reads the drift's monotonicity along the list
+        ("acl.cutoffs must be strictly increasing",
+         lambda v: all(a < b for a, b in pairwise(v["acl.cutoffs"])))),
     "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
     "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS),
     "growth": (
@@ -214,8 +218,13 @@ CONSTRAINTS: dict[str, tuple] = {
         ("continuity.eps must be strictly decreasing",
          lambda v: all(a > b for a, b in pairwise(v["continuity.eps"]))),
         # data.perturb takes eps = 0, but the log-log continuity fit cannot
-        ("continuity.eps must be positive", lambda v: min(v["continuity.eps"]) > 0.0)),
-    "strichartz": (_TWO_SEEDS,),
+        ("continuity.eps must be positive", lambda v: min(v["continuity.eps"]) > 0.0),
+        ("continuity.bump_seed must be non-negative",
+         lambda v: v["continuity.bump_seed"] >= 0)),
+    "strichartz": (
+        _TWO_SEEDS,
+        ("zbound.energy_target must be positive",
+         lambda v: v["zbound.energy_target"] > 0.0)),
 }
 
 
@@ -310,6 +319,10 @@ def build_config(experiment: str, file_text: str | None = None,
     params = _pde(values)
     if experiment == "growth":  # its envelope needs s above the regularity threshold
         _named(("pde.p", "pde.s"), growth_exponents, params)
+    for key, value in values.items():
+        if key.endswith((".cutoff", ".cutoffs")):  # the smoothing cutoffs
+            for cutoff in value if isinstance(value, tuple) else (value,):
+                _named((key,), smoothing_multiplier, cutoff, params.s)
     _recipe(values, seeds[0])
     if "stepper.dt" in values:
         _stepper(values)
@@ -327,6 +340,8 @@ def seed_list(values: dict) -> tuple[int, ...]:
         seeds = tuple(range(count))
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seeds}")
     return tuple(seeds)
 
 

@@ -43,6 +43,13 @@ class TestRecipeValidation:
         with pytest.raises(DataError):
             DataRecipe(seed=0, s_target=0.95, k_min=0.0, k_max=1.0, size_hs=1.0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+            DataRecipe(seed=-1, s_target=0.95, k_min=0.2, k_max=1.0, size_hs=1.0)
+        w = synthesize(RECIPE, G3)
+        with pytest.raises(DataError):  # perturb builds its bump's recipe
+            perturb(w, 0.01, -20000, P4, RECIPE)
+
     def test_sizes_must_be_positive(self):
         with pytest.raises(DataError):
             DataRecipe(seed=0, s_target=0.95, k_min=0.2, k_max=1.0, size_hs=0.0)

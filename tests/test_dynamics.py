@@ -34,7 +34,6 @@ from nlwlab.fields import (
     Grid,
     _kmag,
     _make,
-    _reverse_indices,
     apply_multiplier,
     from_coeffs,
     lebesgue_norm,
@@ -46,7 +45,7 @@ from nlwlab.fields import (
     zero_field,
 )
 from test_spectral_reference import (
-    BIT_SHAPES, block_slices, reference_band, reference_samples)
+    BIT_SHAPES, block_slices, reference_band, reference_samples, reverse_indices)
 
 G3 = Grid(n=16, L=32.0)
 # unit wavenumber spacing; its fields vary along x only, so the
@@ -124,6 +123,17 @@ class TestStateAndConfig:
             StepperConfig(dt=0.1, p=1.0)
         with pytest.raises(FieldError):
             StepperConfig(dt=0.1, p=4.0, oversample=0)
+
+    @pytest.mark.parametrize("p", [math.nan, 1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("entry", ["nonlinear_term", "pde_residual"])
+    def test_kick_power_must_exceed_one(self, entry, p):
+        # the public kick and residual take the power under StepperConfig's rule
+        u = band_field(G3, 41, cutoff=0.45)
+        w = [WaveState(u=u * (1.0 + 0.1 * i), v=u, t=0.25 * i) for i in range(3)]
+        call = {"nonlinear_term": lambda: nonlinear_term(u, p),
+                "pde_residual": lambda: pde_residual(*w, p)}[entry]
+        with pytest.raises(FieldError, match=f"^nonlinearity power must exceed 1, got {p}$"):
+            call()
 
     def test_pair_norm_is_hypot(self):
         w = make_state(1)
@@ -295,14 +305,14 @@ class TestRealTransformKick:
     def test_output_is_exactly_hermitian_and_clean(self, grid, oversample):
         u = band_field(grid, 32, cutoff=grid.nyquist, amp=2.0)
         g = nonlinear_term(u, 3.5, oversample).coeffs
-        assert np.array_equal(g, np.conj(_reverse_indices(g)))
+        assert np.array_equal(g, np.conj(reverse_indices(g)))
         assert g[(0,) * grid.dim] == 0.0
         for axis in range(grid.dim):
             assert not np.any(np.take(g, grid.n // 2, axis=axis))
 
 
 class TestWorkspaceIsolation:
-    """The kick and lebesgue_norm reuse one workspace per (grid, m); nothing
+    """The kick and lebesgue_norm reuse one workspace per (n, m); nothing
     they return may alias it or change when it is reused."""
 
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
@@ -426,7 +436,7 @@ class TestStrangStep:
         for state in traj.states:
             for c in (state.u.coeffs, state.v.coeffs):
                 assert c.shape == grid.shape
-                assert np.array_equal(c, np.conj(_reverse_indices(c)))
+                assert np.array_equal(c, np.conj(reverse_indices(c)))
                 assert c[(0,) * grid.dim] == 0.0
                 for axis in range(grid.dim):
                     assert not np.any(np.take(c, grid.n // 2, axis=axis))

@@ -17,13 +17,12 @@ import nlwlab
 from nlwlab.fields import (
     FieldError,
     Grid,
-    _band,
     _check_oversample,
+    _clean,
     _complete,
     _half_band,
     _power,
     _resize,
-    _reverse_indices,
     _sample_slabs,
     _symbol,
     _workspace,
@@ -31,7 +30,6 @@ from nlwlab.fields import (
     frequency_split,
     from_coeffs,
     from_physical,
-    hermitian_symmetrize,
     lebesgue_norm,
     low_pass,
     power_multiplier,
@@ -47,7 +45,7 @@ from nlwlab.diagnostics import OrbitMeter, smoothed_energy
 from nlwlab.dynamics import WaveState, _nonlinear_raw, nonlinear_term, pde_residual, true_energy
 from nlwlab.params import PdeParams, TripleMQR, reference_triples
 from test_spectral_reference import (
-    BIT_SHAPES, block_slices, reference_band, reference_samples)
+    BIT_SHAPES, block_slices, reference_band, reference_samples, reverse_indices)
 
 G3 = Grid(n=16, L=32.0)
 # unit wavenumber spacing; its single modes along x carry one-dimensional oracles
@@ -140,7 +138,7 @@ class TestTransform:
         ref = np.fft.fftn(samples) / grid.num_points
         keep = got != 0.0  # mean mode and Nyquist planes are cleaned
         assert np.max(np.abs(got[keep] - ref[keep])) <= 1e-13 * np.max(np.abs(ref))
-        assert np.array_equal(got, np.conj(_reverse_indices(got)))
+        assert np.array_equal(got, np.conj(reverse_indices(got)))
 
     def test_from_physical_rejects_wrong_shape(self):
         with pytest.raises(FieldError):
@@ -160,8 +158,25 @@ class TestTransform:
         assert np.all(c[8, :, :] == 0.0)
         assert np.all(c[:, 8, :] == 0.0)
         assert np.all(c[:, :, 8] == 0.0)
-        sym = hermitian_symmetrize(G3, np.asarray(c))
+        sym = 0.5 * (c + np.conj(reverse_indices(c)))
         assert np.max(np.abs(sym - c)) < 1e-15
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_from_coeffs_is_the_reflected_mean_bit_for_bit(self, n):
+        # (c + conj(c at -k)) / 2 through `_conj_mirror`, against the same
+        # formula through the flip-and-roll oracle, the signs of zeros included
+        grid = Grid(n=n, L=32.0)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            c.real[rng.random(grid.shape) < 0.1] = -0.0
+            c.imag[rng.random(grid.shape) < 0.1] = -0.0
+            c.imag[rng.random(grid.shape) < 0.1] = 0.0
+            want = _clean(grid, 0.5 * (c + np.conj(reverse_indices(c))))
+            got = from_coeffs(grid, c).coeffs
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
     def test_fields_are_immutable(self):
         f = random_field(G3, 5)
@@ -233,7 +248,7 @@ class TestMultipliers:
     def test_hermitian_symmetry_preserved(self):
         f = random_field(G3, 23)
         g = apply_multiplier(f, smoothing_multiplier(0.5, 0.9))
-        sym = hermitian_symmetrize(G3, np.asarray(g.coeffs))
+        sym = 0.5 * (g.coeffs + np.conj(reverse_indices(g.coeffs)))
         assert np.max(np.abs(sym - g.coeffs)) < 1e-15
 
     def test_symbol_is_cached_read_only(self):
@@ -496,7 +511,7 @@ def oversampled_values(field, factor):
     grid = field.grid
     m = _check_oversample(factor) * grid.n
     out = np.empty((m,) * grid.dim)
-    for rows, samples in _sample_slabs(grid, field.coeffs, m, _workspace(grid, m)):
+    for rows, samples in _sample_slabs(grid, field.coeffs, m, _workspace(grid.n, m)):
         out[rows] = samples
     return out
 
@@ -511,9 +526,19 @@ class TestWorkspaceMemory:
     """The oversampled transforms stream slabs of x-planes, so a workspace
     holds no m^3 buffer and a kick or a quadrature allocates next to nothing."""
 
+    def test_grids_of_one_size_share_a_workspace(self):
+        # the buffers depend on n and m alone: box lengths L, 2L and 4L (the
+        # rescaled grids of `scaling`) build one workspace per m
+        _workspace.cache_clear()
+        for L in (8.0, 16.0, 32.0):
+            f = random_field(Grid(n=16, L=L), 49)
+            to_physical(f)
+            lebesgue_norm(f, 5.0, 2)
+        assert _workspace.cache_info().misses == 2
+
     def test_oversampled_workspace_holds_at_most_2_mib(self):
         bases = {}
-        for a in workspace_arrays(_workspace(G32, 2 * G32.n)):
+        for a in workspace_arrays(_workspace(G32.n, 2 * G32.n)):
             base = a if a.base is None else a.base  # `spec`, `work`, ... share memory
             bases[id(base)] = base.nbytes
         assert sum(bases.values()) <= 2 * 2 ** 20
@@ -619,14 +644,14 @@ class TestOversampledValues:
         f, g = random_field(grid, 16), random_field(grid, 17)
         meter = OrbitMeter((0.5,), 0.95, 4.0, (TripleMQR(0.5, 4.0, 5.3),))
         buffers = [a for m in (grid.n, 2 * grid.n)
-                   for a in workspace_arrays(_workspace(grid, m))]
+                   for a in workspace_arrays(_workspace(grid.n, m))]
         for transform in (to_physical, lambda x: oversampled_values(x, 2),
                           lambda x: from_physical(grid, to_physical(x)).coeffs):
             first = transform(f)
             kept = first.copy()
             assert not any(np.shares_memory(first, b) for b in buffers)
-            lebesgue_norm(g, 5.0, 2)  # runs in the (grid, 2n) workspace
-            lebesgue_norm(g, 5.0, 1)  # and these two in the (grid, n) one
+            lebesgue_norm(g, 5.0, 2)  # runs in the (n, 2n) workspace
+            lebesgue_norm(g, 5.0, 1)  # and these two in the (n, n) one
             meter(WaveState(u=g, v=g))
             second = transform(g)
             assert np.array_equal(first, kept)
@@ -672,17 +697,18 @@ class TestOversampledValues:
         m = factor * grid.n
         samples = oversampled_values(f, factor)
         assert np.array_equal(samples, reference_samples(grid, f.coeffs, m))
-        # generic samples carry modes beyond the band, which _band drops
+        # generic samples carry modes beyond the band, which _half_band drops
         rough = np.random.default_rng(14).standard_normal((m,) * grid.dim)
         for data in (samples, rough):
-            assert np.array_equal(_band(grid, data), reference_band(grid, data))
+            band = _complete(grid, _half_band(grid, data, _workspace(grid.n, m)))
+            assert np.array_equal(band, reference_band(grid, data))
 
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     @pytest.mark.parametrize("factor", [1, 2])
     def test_half_band_is_the_kept_half_of_band(self, grid, factor):
         h = grid.n // 2
         rough = np.random.default_rng(15).standard_normal((factor * grid.n,) * grid.dim)
-        half = _half_band(grid, rough, _workspace(grid, factor * grid.n))
+        half = _half_band(grid, rough, _workspace(grid.n, factor * grid.n))
         assert half.shape == grid.shape[:-1] + (h,)
         assert np.array_equal(half, reference_band(grid, rough)[..., :h])
 

@@ -16,7 +16,7 @@ import pytest
 
 from nlwlab.data import synthesize
 from nlwlab.diagnostics import energy_drift, norm_growth_ratio, smoothed_energy
-from nlwlab.dynamics import evolve
+from nlwlab.dynamics import evolve, step_plan
 from nlwlab.harness import experiments
 from nlwlab.harness.cli import main
 from nlwlab.harness.config import (
@@ -70,6 +70,10 @@ CAP = "exceeds the cap of 1048576 steps"
 KEPT = "kept states of 32768 points exceed the cap of 2147483648 bytes"
 VIOLATIONS = [
     ("acl", 0, "acl.cutoffs=2,4", "acl.cutoffs needs 3 or more values"),
+    ("acl", "order", "acl.cutoffs=8,4,2", "acl.cutoffs must be strictly increasing"),
+    ("acl", "order", "acl.cutoffs=2,4,4", "acl.cutoffs must be strictly increasing"),
+    # every cutoff builds the smoothing multiplier, which names the rule
+    ("acl", "cutoff", "acl.cutoffs=-2,4,8", "acl.cutoffs: cutoff must be positive, got -2.0"),
     ("acl", 1, "acl.horizon=1e6",
      ACL_RUN + f"horizon 1000000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
     # 400000 intervals of ceil(0.25 / 0.1) = 3 steps: over the cap, although
@@ -94,12 +98,16 @@ VIOLATIONS = [
      "pde.p, pde.s: nonlinearity power p=6.0 outside the supported open range "
      "(3.6666666666666665, 5.0)"),
     ("lemma-a", 0, "bounds.cutoffs=2,4", "bounds.cutoffs needs 3 or more values"),
+    ("lemma-a", "cutoff", "bounds.cutoffs=0,4,8",
+     "bounds.cutoffs: cutoff must be positive, got 0.0"),
     ("lemma-a", 1, "ensemble.count=1",
      "calibrate/hold-out protocol needs at least 2 seeds"),
     ("lemma-a", "recipe", "recipe.size_hs=0",
      "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: size_hs must be "
      "positive, got 0.0"),
     ("lemma-b", 0, "bracket.cutoffs=4,8", "bracket.cutoffs needs 3 or more values"),
+    ("lemma-b", "cutoff", "bracket.cutoffs=4,-8,16",
+     "bracket.cutoffs: cutoff must be positive, got -8.0"),
     ("lemma-b", 1, "seeds=0", "calibrate/hold-out protocol needs at least 2 seeds"),
     ("lemma-b", 2, "bracket.horizon=1e5",
      BRACKET_RUN + f"horizon 100000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
@@ -155,7 +163,17 @@ VIOLATIONS = [
      "continuity.t_star, stepper.dt: horizon must be positive, got 0.0"),
     ("continuity", "stepper", "stepper.dt=-0.1",
      STEPPER + "dt must be positive and finite, got -0.1"),
+    ("continuity", "bump", "continuity.bump_seed=-20000",
+     "continuity.bump_seed must be non-negative"),
+    # any seed of the list, not only the first, whose recipe is built
+    ("continuity", "seeds", "seeds=-3,1", "seeds must be non-negative, got (-3, 1)"),
+    ("continuity", "seeds", "seeds=0,-1", "seeds must be non-negative, got (0, -1)"),
     ("strichartz", 0, "seeds=0", "calibrate/hold-out protocol needs at least 2 seeds"),
+    ("strichartz", "target", "zbound.energy_target=-1", "zbound.energy_target must be positive"),
+    ("strichartz", "target", "zbound.energy_target=0", "zbound.energy_target must be positive"),
+    ("strichartz", "cutoff", "strichartz.cutoff=-1",
+     "strichartz.cutoff: cutoff must be positive, got -1.0"),
+    ("strichartz", "cutoff", "zbound.cutoff=0", "zbound.cutoff: cutoff must be positive, got 0.0"),
     ("strichartz", 1, "zbound.tau=1e5",
      ZBOUND_RUN + f"horizon 100000.0 in intervals of 0.0625 at step 0.015625 {CAP}"),
     ("strichartz", 2, "strichartz.horizon=1.03125",
@@ -313,6 +331,10 @@ class TestSeedList:
         with pytest.raises(ConfigError):
             seed_list({"seeds": (1, 1, 2)})
 
+    def test_negative_rejected_anywhere_in_the_list(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            seed_list({"seeds": (1, 2, -3)})
+
 
 class TestConfigHash:
     def test_insertion_order_irrelevant(self):
@@ -461,6 +483,26 @@ class TestRunExperiment:
         names = [a["name"] for a in s["assertions"]]
         assert "distance_monotone_violations" in names
         assert "median_distance_slope" in names
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_build_config_plans_every_run(self, name, monkeypatch):
+        # `config._plan_runs` restates each cell's evolve and linear_trajectory
+        # calls by hand: every run a cell makes must have been planned, with
+        # its horizon, interval, step and kept-state cap
+        calls = []
+
+        def spy(horizon, interval, dt, keep=None):
+            calls.append((horizon, interval, dt, keep is not None))
+            return step_plan(horizon, interval, dt, keep)
+
+        monkeypatch.setattr("nlwlab.dynamics.step_plan", spy)
+        monkeypatch.setattr("nlwlab.harness.config.step_plan", spy)
+        values = build_config(name, overrides=SHRUNK[name])
+        planned = set(calls)
+        calls.clear()
+        run_experiment(name, values, workers=1)
+        assert bool(calls) == (name != "lemma-a")  # lemma-a measures data only
+        assert set(calls) <= planned
 
     @pytest.mark.parametrize("name,runs", [
         ("acl", ["evolve"]), ("lemma-b", ["evolve"]),

@@ -4,9 +4,10 @@
 references pad and truncate with it.  `reference_samples` and `reference_band`
 are the unpruned real-to-complex transforms: the whole padded half spectrum
 goes through `irfftn`, and the whole `rfftn` output is truncated afterwards.
-`nlwlab.fields._sample_slabs` and `_band` skip the columns of the same
+`nlwlab.fields._sample_slabs` and `_half_band` skip the columns of the same
 per-axis steps that are all padding or are truncated away, and run them
-slab by slab, so they must agree with these bit for bit.
+slab by slab, so they must agree with these bit for bit.  `reverse_indices`
+is the k -> -k oracle, written apart from the package's `_conj_mirror`.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlwlab.fields import Grid, _clean, _reverse_indices, from_coeffs
+from nlwlab.fields import Grid, _clean, from_coeffs
 
 # (grid, factor) cases of the bit-for-bit kick and quadrature tests: n = 16
 # at factors 1-4, and the benchmark's n = 32 grid at factor 2, whose m = 64
@@ -39,6 +40,12 @@ def block_slices(n_small: int, n_big: int, dim: int):
                tuple(lo if c == 0 else hi_big for c in combo))
 
 
+def reverse_indices(c: np.ndarray) -> np.ndarray:
+    """Coefficient array evaluated at -k: flip every axis, then roll by one."""
+    out = np.flip(c)
+    return np.roll(out, shift=(1,) * c.ndim, axis=tuple(range(c.ndim)))
+
+
 def reference_samples(grid: Grid, coeffs: np.ndarray, m: int) -> np.ndarray:
     """Full n-point coefficients -> zero-padded m-point half spectrum -> irfftn."""
     n, dim = grid.n, grid.dim
@@ -57,7 +64,7 @@ def reference_band(grid: Grid, samples: np.ndarray) -> np.ndarray:
     out = np.zeros(grid.shape, dtype=np.complex128)
     for src, dst in block_slices(n, half.shape[0], dim - 1):
         out[src + kz] = half[dst + kz]
-    out += np.conj(_reverse_indices(out))
+    out += np.conj(reverse_indices(out))
     out[..., 0] *= 0.5
     return _clean(grid, out)
 
