@@ -110,6 +110,22 @@ def _random_band_field(grid: Grid, rng: np.random.Generator, k_min: float,
     return field
 
 
+def _check_band(recipe: DataRecipe, grid: Grid) -> None:
+    """Raise DataError unless the recipe's band is resolved on the grid and
+    holds a mode off the mean and the Nyquist planes, which the field
+    conventions zero (k_min > 0 keeps the mean out)."""
+    if recipe.k_max >= grid.max_wavenumber:
+        raise DataError(
+            f"band edge {recipe.k_max} is not resolved "
+            f"(representable limit {grid.max_wavenumber})")
+    kmag, h = _kmag(grid), grid.n // 2
+    band = (kmag >= recipe.k_min) & (kmag <= recipe.k_max)
+    band[h] = band[:, h] = band[:, :, h] = False
+    if not np.any(band):
+        raise DataError(f"band [{recipe.k_min}, {recipe.k_max}] holds no mode off the "
+                        "mean and the Nyquist planes")
+
+
 def _normalized(field: SpectralField, order: float, size: float) -> SpectralField:
     norm = sobolev_norm(field, order)
     if norm == 0.0:
@@ -121,12 +137,10 @@ def synthesize(recipe: DataRecipe, grid: Grid) -> WaveState:
     """Build the rough pair (u, v) at t=0 from a recipe, deterministically.
 
     Equal seeds give bit-identical output; the position and velocity use
-    independent child streams so either can be regenerated alone.
+    independent child streams so either can be regenerated alone.  The band
+    must pass `_check_band`.
     """
-    if recipe.k_max >= grid.max_wavenumber:
-        raise DataError(
-            f"band edge {recipe.k_max} is not resolved "
-            f"(representable limit {grid.max_wavenumber})")
+    _check_band(recipe, grid)
     root = np.random.SeedSequence(recipe.seed)
     child_u, child_v = root.spawn(2)
     rng_u = np.random.Generator(np.random.Philox(child_u))

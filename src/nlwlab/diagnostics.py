@@ -10,12 +10,13 @@ cutoff-trend-free ratio is evidence for the corresponding inequality.
 
 The trajectory diagnostics are running reductions over time, so they have
 one per-state path, `OrbitMeter`: it measures each sampled state once as it
-is produced, and its methods apply the time reductions at the end.  Passed
-as the observer of `evolve` or `linear_trajectory` with keep_states=False,
-it keeps no orbit; `spacetime_norm`, `spacetime_report`, `energy_drift` and
-`norm_growth_ratio` run the same meter over a kept trajectory's states, at
-the trajectory's `oversample`.  The per-state measurements are `fields`
-kernels, which build no field.
+is produced, records the state's time, and its methods apply the time
+reductions at the end.  Passed as the observer of `evolve` or
+`linear_trajectory` with keep_states=False, it keeps no orbit;
+`spacetime_norm`, `spacetime_report`, `energy_drift` and `norm_growth_ratio`
+run the same meter over a kept trajectory's states, at the trajectory's
+`oversample`.  The per-state measurements are the `fields` norms, given
+their multipliers, which build no field.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    _multiplied_lebesgue,
-    power_multiplier,
-    smoothing_multiplier,
-    sobolev_norm,
-)
+from .fields import lebesgue_norm, power_multiplier, smoothing_multiplier, sobolev_norm
 from .dynamics import Trajectory, WaveState, _energy_norms, pair_sobolev_norm
 from .params import PdeParams, TripleMQR, data_size, is_allowed_triple, reference_triples
 
@@ -137,17 +133,19 @@ class GrowthReport:
 class OrbitMeter:
     """Measures each sampled state of an orbit once, in time order.
 
-    Called on a state, it records for every cutoff N the spatial norm
-    |D^(1-m) I_N u|_(L^r) on every triple given and, with `energies`, the
-    smoothed energy at `oversample`, the factor of the run it measures.  The
-    norm is `fields._multiplied_lebesgue` of u with the multipliers
+    Called on a state, it records the state's time t and, for every cutoff
+    N, the spatial norm |D^(1-m) I_N u|_(L^r) on every triple given and, with
+    `energies`, the smoothed energy at `oversample`, the factor of the run it
+    measures.  The norm is `fields.lebesgue_norm` of u with the multipliers
     (D^(1-m), I) at factor 1, so it allocates no field.  The methods named
     after the public trajectory diagnostics reduce the records over the
-    sample `times`; those functions feed a meter from a kept trajectory's
-    states, so passing one as `observer=` to `evolve` or `linear_trajectory`
-    with keep_states=False gives their results bit for bit without keeping
-    the orbit.  The meter keeps numbers only, no state: `norm_growth_ratio`
-    takes the pair norms at the first and the last sample from its caller.
+    recorded `times`, which must be uniformly spaced for a time integral;
+    those functions feed a meter from a kept trajectory's states, so passing
+    one as `observer=` to `evolve` or `linear_trajectory` with
+    keep_states=False gives their results bit for bit without keeping the
+    orbit (both runs stamp sample i with times[i]).  The meter keeps numbers
+    only, no state: `norm_growth_ratio` takes the pair norms at the first and
+    the last sample from its caller.
     """
 
     def __init__(self, cutoffs, s: float, p: float, triples=(),
@@ -157,19 +155,23 @@ class OrbitMeter:
         self.triples = tuple(dict.fromkeys(triples))
         self._phi = {(c, t): [] for c in self.cutoffs for t in self.triples}
         self._energies = {c: [] for c in self.cutoffs} if energies else {}
-        self.count = 0
+        self.times: list[float] = []
 
     def __call__(self, state: WaveState) -> None:
         for cutoff in self.cutoffs:
             smoother = smoothing_multiplier(cutoff, self.s)
             for triple in self.triples:
                 mults = (power_multiplier(1.0 - triple.m), smoother)
-                self._phi[cutoff, triple].append(
-                    _multiplied_lebesgue(state.u, mults, triple.r, 1))
+                self._phi[cutoff, triple].append(lebesgue_norm(state.u, triple.r, 1, mults))
             if self._energies:
                 self._energies[cutoff].append(
                     smoothed_energy(state, cutoff, self.s, self.p, self.oversample).total)
-        self.count += 1
+        self.times.append(state.t)
+
+    @property
+    def count(self) -> int:
+        """The number of states measured."""
+        return len(self.times)
 
     def _series(self, table: dict, key) -> np.ndarray:
         if self.count == 0:
@@ -178,20 +180,20 @@ class OrbitMeter:
             raise DiagnosticsError(f"{key} was not measured")
         return np.array(table[key])
 
-    def spacetime_norm(self, times: np.ndarray, triple: TripleMQR,
-                       cutoff: float) -> float:
+    def spacetime_norm(self, triple: TripleMQR, cutoff: float) -> float:
         """See `spacetime_norm`."""
         phi = self._series(self._phi, (cutoff, triple))
         if math.isinf(triple.q):
             return float(np.max(phi))
         if self.count < 2:
             raise DiagnosticsError("finite-q time norm needs at least 2 samples")
+        times = np.array(self.times)
         _check_uniform(times)
         return float(np.trapezoid(phi ** triple.q, times) ** (1.0 / triple.q))
 
-    def spacetime_report(self, times: np.ndarray, cutoff: float) -> NormReport:
+    def spacetime_report(self, cutoff: float) -> NormReport:
         """See `spacetime_report`; the triples are the meter's."""
-        values = tuple(self.spacetime_norm(times, t, cutoff) for t in self.triples)
+        values = tuple(self.spacetime_norm(t, cutoff) for t in self.triples)
         return NormReport(triples=self.triples, values=values)
 
     def energy_drift(self, cutoff: float) -> DriftReport:
@@ -202,16 +204,16 @@ class OrbitMeter:
         drift = float(np.max(np.abs(energies - energies[0])))
         return DriftReport(drift=drift, e_sup=float(np.max(energies)), energies=energies)
 
-    def norm_growth_ratio(self, times: np.ndarray, cutoff: float, initial: float,
+    def norm_growth_ratio(self, cutoff: float, initial: float,
                           final: float) -> GrowthReport:
         """See `norm_growth_ratio`, given the pair norms at the first and the
         last sample; z_max is over the meter's triples."""
         if self.count < 2:
             raise DiagnosticsError("growth ratio needs at least 2 samples")
         s, p = self.s, self.p
-        horizon = float(times[-1] - times[0])
+        horizon = float(self.times[-1] - self.times[0])
         e_sup = self.energy_drift(cutoff).e_sup
-        z_max = self.spacetime_report(times, cutoff).z_max
+        z_max = self.spacetime_report(cutoff).z_max
         bracket = (math.sqrt(e_sup) + horizon * e_sup ** (p / (p + 1.0))
                    + z_max ** p / cutoff ** (0.5 * (5.0 - p) + 1.0 - s))
         return GrowthReport(initial=initial, final=final, e_sup=e_sup, z_max=z_max,
@@ -236,20 +238,20 @@ def spacetime_norm(traj: Trajectory, triple: TripleMQR, params: PdeParams,
 
     Each state's spatial norm is `lebesgue_norm(apply_multiplier(u, (D^(1-m),
     I)), r)` bit for bit (see `OrbitMeter`).  Time integration is the
-    composite trapezoid rule on the q-th power of the spatial norm; q = inf
-    takes the max over samples and accepts a single sample, while finite q
-    needs at least two.
+    composite trapezoid rule, over the states' uniformly spaced times t, on
+    the q-th power of the spatial norm; q = inf takes the max over samples
+    and accepts a single sample, while finite q needs at least two.
     """
     if not is_allowed_triple(triple, params):
         raise DiagnosticsError(f"triple {triple} is outside the allowed region")
     meter = _metered(traj, cutoff, params.s, params.p, (triple,))
-    return meter.spacetime_norm(traj.times, triple, cutoff)
+    return meter.spacetime_norm(triple, cutoff)
 
 
 def spacetime_report(traj: Trajectory, params: PdeParams, cutoff: float) -> NormReport:
     """Evaluate the space-time norm on every reference triple."""
     meter = _metered(traj, cutoff, params.s, params.p, reference_triples(params))
-    return meter.spacetime_report(traj.times, cutoff)
+    return meter.spacetime_report(cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +316,7 @@ def norm_growth_ratio(traj: Trajectory, params: PdeParams, cutoff: float) -> Gro
     meter = _metered(traj, cutoff, params.s, params.p, reference_triples(params),
                      energies=True)
     initial, final = (pair_sobolev_norm(w, params.s) for w in (traj.states[0], traj.final))
-    return meter.norm_growth_ratio(traj.times, cutoff, initial, final)
+    return meter.norm_growth_ratio(cutoff, initial, final)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,8 @@ class SlopeFit:
 
 
 def fit_loglog_slope(xs, ys) -> SlopeFit:
-    """Fit log y = slope * log x + intercept; needs >= 3 positive points."""
+    """Fit log y = slope * log x + intercept; needs >= 3 positive points at
+    3 or more distinct x."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -341,6 +344,8 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
     if not (np.all(x > 0.0) and np.all(y > 0.0)
             and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DiagnosticsError("slope fit needs positive finite inputs")
+    if len(np.unique(x)) < 3:
+        raise DiagnosticsError("slope fit needs at least 3 distinct x values")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

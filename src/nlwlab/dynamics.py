@@ -50,11 +50,10 @@ from .fields import (
     _from_half,
     _kmag,
     _make,
-    _multiplied_lebesgue,
-    _multiplied_sobolev,
     _projected_power,
     power_multiplier,
     apply_multiplier,
+    lebesgue_norm,
     sobolev_norm,
 )
 
@@ -357,12 +356,11 @@ def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
 def _energy_norms(state: WaveState, specs, p: float,
                   oversample: int) -> tuple[float, float, float]:
     """|v|, |grad u| and the potential |u|^(p+1)/(p+1), integrated `oversample`
-    times finer, of the state times the multipliers `specs`, by `fields`
-    kernels that build no field: `true_energy` and the smoothed energy."""
-    velocity = _multiplied_sobolev(state.v, specs, 0.0)
-    gradient = _multiplied_sobolev(state.u, specs, 1.0)
-    potential = (_multiplied_lebesgue(state.u, specs, p + 1.0, oversample)
-                 ** (p + 1.0) / (p + 1.0))
+    times finer, of the state times the multipliers `specs`, by the `fields`
+    norms, which build no field: `true_energy` and the smoothed energy."""
+    velocity = sobolev_norm(state.v, 0.0, specs)
+    gradient = sobolev_norm(state.u, 1.0, specs)
+    potential = lebesgue_norm(state.u, p + 1.0, oversample, specs) ** (p + 1.0) / (p + 1.0)
     return velocity, gradient, potential
 
 

@@ -44,9 +44,9 @@ m^3 buffers.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
-half it returns), `_multiplied_lebesgue` and `_multiplied_sobolev` (norms of
-multiplied coefficients, the product held in a workspace buffer) and
-`_from_half`.  A quadrature allocates nothing but its eight slab sums.
+half it returns), `lebesgue_norm` and `sobolev_norm` (which take the field's
+multipliers and hold the product in a workspace buffer) and `_from_half`.
+A quadrature allocates nothing but its eight slab sums.
 `to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -358,20 +358,17 @@ def apply_multiplier(field: SpectralField, spec) -> SpectralField:
 # Norms and splits
 # ---------------------------------------------------------------------------
 
-def sobolev_norm(field: SpectralField, sigma: float) -> float:
-    """Homogeneous Sobolev norm sqrt(L^3 sum |k|^(2 sigma) |c_k|^2).
+def sobolev_norm(field: SpectralField, sigma: float, multipliers=()) -> float:
+    """Homogeneous Sobolev norm sqrt(L^3 sum |k|^(2 sigma) |c_k|^2) of the
+    field times the multipliers, if any.
 
     The zero mode carries no weight for any sigma (it is zero by convention,
-    and negative orders are undefined there).
+    and negative orders are undefined there).  With multipliers the result is
+    `sobolev_norm(apply_multiplier(field, multipliers), sigma)` bit for bit,
+    the product held in the `full` buffer of the (n, n) workspace.
     """
-    return _multiplied_sobolev(field, (), sigma)
-
-
-def _multiplied_sobolev(field: SpectralField, specs, sigma: float) -> float:
-    """`sobolev_norm(apply_multiplier(field, specs), sigma)`, bit for bit, with
-    the product held in the `full` buffer of the (n, n) workspace."""
     grid, c = field.grid, field.coeffs
-    for spec in specs:
+    for spec in multipliers:
         c = np.multiply(c, _symbol(grid, spec), out=_workspace(grid.n, grid.n).full)
     power = c.real * c.real
     power += c.imag * c.imag
@@ -442,9 +439,9 @@ class _Workspace:
     * `work` is real slab scratch for `_power`.  Its memory also holds the
       slab's rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
       which `_fold_half` writes once every slab is in, and `half`, the
-      multiplied k_z < n/2 coefficients of `_multiplied_lebesgue`, which
+      multiplied k_z < n/2 coefficients of `lebesgue_norm`, which
       `_sample_slabs` has read into `rows` before `work` is written;
-    * `full` holds the full-layout product of `_multiplied_sobolev`, apart
+    * `full` holds the full-layout product of `sobolev_norm`, apart
       from every other buffer; its pages are touched only once it is used.
 
     At n = 32, m = 64 this is 1.1 MiB, and `full` 0.5 MiB more.
@@ -550,8 +547,10 @@ def _check_oversample(factor) -> int:
     return factor
 
 
-def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
-    """Grid-quadrature Lebesgue norm (cell_volume * sum |u(x_j)|^r)^(1/r).
+def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
+                  multipliers=()) -> float:
+    """Grid-quadrature Lebesgue norm (cell_volume * sum |u(x_j)|^r)^(1/r) of
+    the field times the multipliers, if any.
 
     oversample > 1 evaluates on a finer grid; quadrature of |u|^r is then
     exact for even integer r <= 2*oversample, where |u|^r is a polynomial
@@ -559,8 +558,23 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1) -> float:
     error (r = 5: 5.9e-8 relative at factor 2 on the growth defaults, against
     factor 6), which matters for conserved-energy diagnostics.  A whole r
     forms |u|^r by products (`_power`), any other r by `np.power`.
+
+    With multipliers the result is `lebesgue_norm(apply_multiplier(field,
+    multipliers), r, oversample)` bit for bit, the product's k_z < n/2 half
+    held in the workspace's `half`.  The samples, |.|^r (`_power`, into the
+    samples' buffer) and the sums all run slab by slab; the slab sums are
+    added by one more `np.sum`, which gives numpy's pairwise sum of the whole.
     """
-    return _multiplied_lebesgue(field, (), r, oversample)
+    if not (1.0 <= r and math.isfinite(r)):
+        raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
+    grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
+    m = _check_oversample(oversample) * grid.n
+    ws = _workspace(grid.n, m)
+    for spec in multipliers:
+        coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
+    sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
+            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
+    return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)
 
 
 def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:
@@ -614,33 +628,14 @@ def _projected_power(grid: Grid, coeffs: np.ndarray, e: float, oversample: int) 
     return _fold_half(grid, ws)
 
 
-def _multiplied_lebesgue(field: SpectralField, specs, r: float, oversample: int) -> float:
-    """`lebesgue_norm(apply_multiplier(field, specs), r, oversample)`, bit for
-    bit, with the product's k_z < n/2 half held in the workspace's `half`.
-    The samples, |.|^r (`_power`, into the samples' buffer) and the sums all
-    run slab by slab; the slab sums are added by one more `np.sum`, which
-    gives numpy's pairwise sum of the whole."""
-    if not (1.0 <= r and math.isfinite(r)):
-        raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
-    grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
-    m = _check_oversample(oversample) * grid.n
-    ws = _workspace(grid.n, m)
-    for spec in specs:
-        coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
-    sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
-            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
-    return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)
-
-
 def frequency_split(field: SpectralField, cutoff: float) -> tuple[SpectralField, SpectralField]:
-    """Sharp split at the cutoff: (coefficients with |k| <= cutoff, the rest).
+    """Sharp split at the cutoff: the field times `low_pass(cutoff)`, and the
+    rest.
 
     The two parts sum to the original field exactly, coefficient by coefficient.
     """
     if cutoff <= 0.0:
         raise FieldError(f"cutoff must be positive, got {cutoff}")
-    mask = _kmag(field.grid) <= cutoff
-    low = np.where(mask, field.coeffs, 0.0)
-    high = np.where(mask, 0.0, field.coeffs)
-    return _make(field.grid, low), _make(field.grid, high)
+    low = apply_multiplier(field, low_pass(cutoff))
+    return low, field - low
 

@@ -4,10 +4,11 @@ Config files are plain text, one `key = value` per line, `#` comments allowed.
 There is no nesting: structure lives in the key (grid.n, acl.cutoffs).  Every
 knob an experiment consults, including pass/fail thresholds, has a documented
 default here and can be overridden from a file or from --override arguments.
-Lists are comma-separated, floats must be finite, and `build_config` checks
-the rows of `CONSTRAINTS`, then builds what the cells build: the grid, PDE
-parameters (and, for `growth`, its exponents), the smoothing multiplier of
-every cutoff, stepper, data recipe and every run's `dynamics.step_plan`.  A
+Lists are comma-separated, floats must be finite, and `build_config` builds
+the smoothing multiplier of every cutoff, checks the rows of `CONSTRAINTS`,
+then builds what the cells build: the grid, PDE parameters (and, for
+`growth`, its exponents), stepper, data recipe (and its band on the grid,
+`data._check_band`) and every run's `dynamics.step_plan`.  A
 library error there becomes a ConfigError naming the keys, so a bad config
 fails before any cell runs.  The resolved configuration is hashed (sha256 of
 the canonical key=value listing) and the hash is stamped into every output
@@ -20,7 +21,7 @@ import hashlib
 import math
 from itertools import pairwise
 
-from ..data import DataError, DataRecipe, _dyadic_exponent
+from ..data import DataError, DataRecipe, _check_band, _dyadic_exponent
 from ..dynamics import StepperConfig, step_plan
 from ..fields import FieldError, Grid, smoothing_multiplier
 from ..params import ParamError, PdeParams, growth_exponents
@@ -191,23 +192,25 @@ def _at_least(key: str, count: int) -> tuple:
     return f"{key} needs {count} or more values", lambda v: len(v[key]) >= count
 
 
+def _increasing(key: str) -> tuple:
+    return (f"{key} must be strictly increasing",
+            lambda v: all(a < b for a, b in pairwise(v[key])))
+
+
 _TWO_SEEDS = ("calibrate/hold-out protocol needs at least 2 seeds",
               lambda v: len(seed_list(v)) >= 2)
 
 # experiment -> (message, predicate) rows: the rules no library object holds,
 # checked in order by build_config; a row may rely on the rows before it.
 CONSTRAINTS: dict[str, tuple] = {
-    "acl": (
-        _at_least("acl.cutoffs", 3),
-        # its judge reads the drift's monotonicity along the list
-        ("acl.cutoffs must be strictly increasing",
-         lambda v: all(a < b for a, b in pairwise(v["acl.cutoffs"])))),
-    "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS),
-    "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS),
-    "growth": (
-        _at_least("growth.checkpoints", 2),
-        ("growth.checkpoints must be strictly increasing",
-         lambda v: all(a < b for a, b in pairwise(v["growth.checkpoints"])))),
+    # a judge fits a slope over the cutoffs, and acl's reads the drift's
+    # monotonicity along them, so they are distinct and in order
+    "acl": (_at_least("acl.cutoffs", 3), _increasing("acl.cutoffs")),
+    "lemma-a": (_at_least("bounds.cutoffs", 3), _TWO_SEEDS,
+                _increasing("bounds.cutoffs")),
+    "lemma-b": (_at_least("bracket.cutoffs", 3), _TWO_SEEDS,
+                _increasing("bracket.cutoffs")),
+    "growth": (_at_least("growth.checkpoints", 2), _increasing("growth.checkpoints")),
     "scaling": (
         _at_least("scaling.lambdas", 1),
         # the residual reads the fourth sample of the base run
@@ -312,6 +315,11 @@ def build_config(experiment: str, file_text: str | None = None,
             values[key] = _coerce(key, raw, DEFAULTS[experiment][key])
             _require_finite(key, values[key])
     seeds = seed_list(values)
+    # each smoothing cutoff is checked before the rules on the lists of them
+    for key, value in values.items():
+        if key.endswith((".cutoff", ".cutoffs")):
+            for cutoff in value if isinstance(value, tuple) else (value,):
+                _named((key,), smoothing_multiplier, cutoff, values["pde.s"])
     for message, holds in CONSTRAINTS[experiment]:
         if not holds(values):
             raise ConfigError(message)
@@ -319,11 +327,8 @@ def build_config(experiment: str, file_text: str | None = None,
     params = _pde(values)
     if experiment == "growth":  # its envelope needs s above the regularity threshold
         _named(("pde.p", "pde.s"), growth_exponents, params)
-    for key, value in values.items():
-        if key.endswith((".cutoff", ".cutoffs")):  # the smoothing cutoffs
-            for cutoff in value if isinstance(value, tuple) else (value,):
-                _named((key,), smoothing_multiplier, cutoff, params.s)
-    _recipe(values, seeds[0])
+    _named(("grid.n", "grid.L", "recipe.k_min", "recipe.k_max"), _check_band,
+           _recipe(values, seeds[0]), grid)
     if "stepper.dt" in values:
         _stepper(values)
     _plan_runs(experiment, values, grid)
@@ -331,12 +336,15 @@ def build_config(experiment: str, file_text: str | None = None,
 
 
 def seed_list(values: dict) -> tuple[int, ...]:
-    """The explicit seed list, or range(ensemble.count) when seeds is empty."""
+    """The explicit seed list, or range(ensemble.count), a count of at least
+    1, when seeds is empty."""
     seeds = values["seeds"]
     if not seeds:
         count = values.get("ensemble.count")
-        if not count:
+        if count is None:
             raise ConfigError("empty seed list and no ensemble.count to derive it")
+        if count < 1:
+            raise ConfigError(f"ensemble.count must be at least 1, got {count}")
         seeds = tuple(range(count))
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")

@@ -185,7 +185,7 @@ def _lemma_b_cell(values: dict, seed: int) -> list:
     final = pair_sobolev_norm(traj.final, params.s)
     out = []
     for cutoff in values["bracket.cutoffs"]:
-        rep = meter.norm_growth_ratio(traj.times, cutoff, initial, final)
+        rep = meter.norm_growth_ratio(cutoff, initial, final)
         out.append((cutoff, rep.initial, rep.final, rep.e_sup, rep.z_max,
                     rep.ratio))
     return out
@@ -381,12 +381,12 @@ def _strichartz_cell(values: dict, seed: int) -> list:
     w0 = synthesize(_recipe(values, seed), _grid(values))
     cutoff = values["strichartz.cutoff"]
     meter = OrbitMeter((cutoff,), params.s, params.p, triples)
-    times = linear_trajectory(w0, values["strichartz.horizon"],
-                              values["strichartz.sample_interval"],
-                              keep_states=False, observer=meter).times
+    linear_trajectory(w0, values["strichartz.horizon"],
+                      values["strichartz.sample_interval"], keep_states=False,
+                      observer=meter)
     out = []
     for triple in triples:
-        z_value = meter.spacetime_norm(times, triple, cutoff)
+        z_value = meter.spacetime_norm(triple, cutoff)
         data_norm = pair_sobolev_norm(w0, triple.m)
         out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
                     _ratio(z_value, data_norm)))
@@ -399,10 +399,10 @@ def _strichartz_cell(values: dict, seed: int) -> list:
     del w0
     meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True,
                        oversample=stepper.oversample)
-    ztraj = evolve(small, values["zbound.tau"], stepper,
-                   sample_interval=values["zbound.sample_interval"],
-                   keep_states=False, observer=meter)
-    z_max = meter.spacetime_report(ztraj.times, zb_cutoff).z_max
+    evolve(small, values["zbound.tau"], stepper,
+           sample_interval=values["zbound.sample_interval"], keep_states=False,
+           observer=meter)
+    z_max = meter.spacetime_report(zb_cutoff).z_max
     e_sup = meter.energy_drift(zb_cutoff).e_sup
     out.append(("zbound", "", "", "", z_max, e_sup, ""))
     return out

@@ -60,6 +60,17 @@ class TestRecipeValidation:
         with pytest.raises(DataError):
             synthesize(hot, G3)
 
+    def test_band_must_hold_a_mode(self):
+        # below the grid's first shell, |k| = 2 pi / L = 0.196
+        empty = DataRecipe(seed=0, s_target=0.95, k_min=0.01, k_max=0.02, size_hs=1.0)
+        with pytest.raises(DataError, match="holds no mode off the mean"):
+            synthesize(empty, G3)
+        # the band holds only modes of the k_x Nyquist plane, which are zeroed
+        nyquist = Grid(n=16, L=2.0 * math.pi)
+        only = DataRecipe(seed=0, s_target=0.95, k_min=7.9, k_max=8.0, size_hs=1.0)
+        with pytest.raises(DataError, match="holds no mode off the mean"):
+            synthesize(only, nyquist)
+
 
 class TestSynthesize:
     def test_same_seed_bit_identical(self):

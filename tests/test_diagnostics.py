@@ -401,15 +401,39 @@ class TestOrbitMeter:
         initial, final = (pair_sobolev_norm(x, P4.s) for x in (w, live.final))
         for cutoff in cutoffs:
             for triple in triples:
-                assert (meter.spacetime_norm(live.times, triple, cutoff)
+                assert (meter.spacetime_norm(triple, cutoff)
                         == spacetime_norm(kept, triple, P4, cutoff))
-            assert (meter.spacetime_report(live.times, cutoff)
+            assert (meter.spacetime_report(cutoff)
                     == spacetime_report(kept, P4, cutoff))
             drift, ref = meter.energy_drift(cutoff), energy_drift(kept, cutoff, P4.s, P4.p)
             assert (drift.drift, drift.e_sup) == (ref.drift, ref.e_sup)
             assert np.array_equal(drift.energies, ref.energies)
-            assert (meter.norm_growth_ratio(live.times, cutoff, initial, final)
+            assert (meter.norm_growth_ratio(cutoff, initial, final)
                     == norm_growth_ratio(kept, P4, cutoff))
+
+    @pytest.mark.parametrize("kind", ["evolve", "linear"])
+    def test_times_are_the_runs_times(self, kind):
+        w = desk_state(size=1.0)
+        w = WaveState(u=w.u, v=w.v, t=0.375)
+        meter = OrbitMeter((4.0,), P4.s, P4.p)
+        if kind == "evolve":
+            traj = evolve(w, 0.5, StepperConfig(dt=1.0 / 32, p=4.0),
+                          sample_interval=0.125, keep_states=False, observer=meter)
+        else:
+            traj = linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=meter)
+        assert meter.count == len(traj.times) == 5
+        assert np.array_equal(meter.times, traj.times)
+
+    def test_rejects_states_at_uneven_times(self):
+        meter = OrbitMeter((4.0,), P4.s, P4.p, reference_triples(P4))
+        w = desk_state()
+        for t in (0.0, 0.25, 0.75):
+            meter(WaveState(u=w.u, v=w.v, t=t))
+        finite = next(t for t in reference_triples(P4) if not math.isinf(t.q))
+        with pytest.raises(DiagnosticsError, match="not uniformly spaced"):
+            meter.spacetime_norm(finite, 4.0)
+        with pytest.raises(DiagnosticsError, match="not uniformly spaced"):
+            meter.spacetime_report(4.0)
 
     @pytest.mark.parametrize("kind", ["evolve", "linear"])
     @pytest.mark.parametrize("grid", [Grid(n=16, L=16.0)], ids=["dim3"])
@@ -464,7 +488,7 @@ class TestOrbitMeter:
         z_max = spacetime_report(kept, P4, 4.0).z_max
         bracket = (math.sqrt(e_sup) + 0.5 * e_sup ** (P4.p / (P4.p + 1.0))
                    + z_max ** P4.p / 4.0 ** (0.5 * (5.0 - P4.p) + 1.0 - P4.s))
-        assert meter.norm_growth_ratio(kept.times, 4.0, initial, final) == GrowthReport(
+        assert meter.norm_growth_ratio(4.0, initial, final) == GrowthReport(
             initial=initial, final=final, e_sup=e_sup, z_max=z_max, bracket=bracket,
             ratio=_ratio(final - initial, bracket))
         assert calls == []
@@ -475,14 +499,14 @@ class TestOrbitMeter:
             meter.energy_drift(4.0)
         w = desk_state()
         meter(w)
-        meter(w)
+        meter(WaveState(u=w.u, v=w.v, t=1.0))
         assert meter.cutoffs == (4.0,)
         triple = reference_triples(P4)[0]
-        assert meter.spacetime_norm(np.array([0.0, 1.0]), triple, 4.0) > 0.0
+        assert meter.spacetime_norm(triple, 4.0) > 0.0
         with pytest.raises(DiagnosticsError, match="not measured"):
             meter.energy_drift(4.0)
         with pytest.raises(DiagnosticsError, match="not measured"):
-            meter.spacetime_norm(np.array([0.0, 1.0]), triple, 2.0)
+            meter.spacetime_norm(triple, 2.0)
 
 
 class TestSlopeFit:
@@ -513,3 +537,8 @@ class TestSlopeFit:
             fit_loglog_slope([1.0, 2.0, 3.0], [1.0, 2.0])
         with pytest.raises(DiagnosticsError):
             fit_loglog_slope([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
+        # a repeated cutoff list once reached the fit and read a slope
+        for xs in ([4.0, 4.0, 4.0], [4.0, 8.0, 4.0, 8.0]):
+            with pytest.raises(DiagnosticsError, match="3 distinct x values"):
+                fit_loglog_slope(xs, [1.0, 2.0, 3.0, 4.0][:len(xs)])
+        fit_loglog_slope([4.0, 4.0, 8.0, 16.0], [1.0, 2.0, 3.0, 4.0])

@@ -321,6 +321,18 @@ class TestSobolevNorm:
             for sigma in (0.0, 1.0, s, s - 1.0):
                 assert sobolev_norm(f, sigma) == sobolev_oracle(f, sigma)
 
+    @pytest.mark.parametrize("multipliers", [
+        (smoothing_multiplier(0.7, 0.95),),
+        (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["one", "two"])
+    def test_multipliers_equal_the_applied_product_bit_for_bit(self, multipliers):
+        for seed in range(3):
+            f = random_field(G32, 40 + seed, decay=1.0)
+            before = f.coeffs.copy()
+            product = apply_multiplier(f, multipliers)
+            for sigma in (0.0, 1.0, -0.05):
+                assert sobolev_norm(f, sigma, multipliers) == sobolev_norm(product, sigma)
+            assert np.array_equal(f.coeffs, before)
+
     def test_single_mode_closed_form(self):
         # amplitude A cosine at |k0|: norm = A |k0|^sigma sqrt(L^3 / 2)
         amp, sigma = 2.5, 0.7
@@ -385,6 +397,20 @@ class TestLebesgueNorm:
         base = lebesgue_norm(f, 4.0)
         assert a == pytest.approx(b, rel=1e-12)
         assert abs(base - a) / a > 1e-10
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("multipliers", [
+        (smoothing_multiplier(0.7, 0.95),),
+        (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["one", "two"])
+    def test_multipliers_equal_the_applied_product_bit_for_bit(self, multipliers, factor):
+        for seed in range(3):
+            f = random_field(G32, 50 + seed, decay=1.0)
+            before = f.coeffs.copy()
+            product = apply_multiplier(f, multipliers)
+            for r in (5.0, 5.3):
+                assert (lebesgue_norm(f, r, factor, multipliers)
+                        == lebesgue_norm(product, r, factor))
+            assert np.array_equal(f.coeffs, before)
 
     def test_rejects_bad_exponent(self):
         f = random_field(G3, 1)
@@ -600,10 +626,19 @@ class TestOversampleFactor:
 
 class TestWorkspaceBoundary:
     """Only `fields` drives the transform workspaces: no other module of the
-    package imports or names its workspace, slab, power or completion helpers."""
+    package imports or names its workspace, slab, transform-step, power,
+    reflection or completion helpers."""
 
     SEALED = {"_workspace", "_Workspace", "_sample_slabs", "_fold_slab", "_fold_half",
-              "_power", "_quadrature", "_sobolev", "_symbol", "_complete"}
+              "_power", "_symbol", "_complete", "_resize", "_forward", "_half_band",
+              "_conj_mirror", "_clean"}
+
+    def test_every_sealed_name_is_defined_in_fields(self):
+        # a name that fields no longer defines would guard nothing
+        tree = ast.parse((Path(nlwlab.__file__).parent / "fields.py").read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert self.SEALED <= defined
 
     def test_no_other_module_names_a_workspace_helper(self):
         root = Path(nlwlab.__file__).parent
@@ -748,6 +783,13 @@ class TestFrequencySplit:
     def test_rejects_nonpositive_cutoff(self):
         with pytest.raises(FieldError):
             frequency_split(random_field(G3, 1), 0.0)
+
+    @pytest.mark.parametrize("cutoff", [0.4, 1.0, 2.5])
+    def test_low_part_is_the_low_pass_multiplier(self, cutoff):
+        f = random_field(G3, 59)
+        low, high = frequency_split(f, cutoff)
+        assert np.array_equal(low.coeffs, apply_multiplier(f, low_pass(cutoff)).coeffs)
+        assert np.array_equal(high.coeffs, (f - low).coeffs)
 
     def test_high_part_bernstein(self):
         # per-coefficient: |k| > N makes |k|^(2 sp) <= N^(2(sp-s)) |k|^(2s)

@@ -66,6 +66,7 @@ SCALING_RUN = "scaling.horizon, scaling.sample_interval, stepper.dt: "
 LINEAR_RUN = "strichartz.horizon, strichartz.sample_interval: "
 ZBOUND_RUN = "zbound.tau, zbound.sample_interval, stepper.dt: "
 STEPPER = "stepper.dt, pde.p, stepper.oversample: "
+BAND = "grid.n, grid.L, recipe.k_min, recipe.k_max: "
 CAP = "exceeds the cap of 1048576 steps"
 KEPT = "kept states of 32768 points exceed the cap of 2147483648 bytes"
 VIOLATIONS = [
@@ -94,6 +95,8 @@ VIOLATIONS = [
     ("acl", "grid", "grid.n=20",
      "grid.n, grid.L, grid.dim: n must be a power of two >= 16, got 20"),
     ("acl", "grid", "grid.dim=1", "grid.n, grid.L, grid.dim: dim must be 3, got 1"),
+    ("acl", "band", "grid.n=16",
+     BAND + "band edge 19.5 is not resolved (representable limit 9.522446662229642)"),
     ("acl", "pde", "pde.p=6",
      "pde.p, pde.s: nonlinearity power p=6.0 outside the supported open range "
      "(3.6666666666666665, 5.0)"),
@@ -102,6 +105,11 @@ VIOLATIONS = [
      "bounds.cutoffs: cutoff must be positive, got 0.0"),
     ("lemma-a", 1, "ensemble.count=1",
      "calibrate/hold-out protocol needs at least 2 seeds"),
+    # range(-3) is empty: no seed list, not a crash in min(())
+    ("lemma-a", "count", "ensemble.count=-3", "ensemble.count must be at least 1, got -3"),
+    # a repeated cutoff leaves the trend fit fewer than 3 distinct points
+    ("lemma-a", "order", "bounds.cutoffs=4,4,4", "bounds.cutoffs must be strictly increasing"),
+    ("lemma-a", "order", "bounds.cutoffs=2,8,4", "bounds.cutoffs must be strictly increasing"),
     ("lemma-a", "recipe", "recipe.size_hs=0",
      "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: size_hs must be "
      "positive, got 0.0"),
@@ -109,6 +117,8 @@ VIOLATIONS = [
     ("lemma-b", "cutoff", "bracket.cutoffs=4,-8,16",
      "bracket.cutoffs: cutoff must be positive, got -8.0"),
     ("lemma-b", 1, "seeds=0", "calibrate/hold-out protocol needs at least 2 seeds"),
+    ("lemma-b", "order", "bracket.cutoffs=8,8,8",
+     "bracket.cutoffs must be strictly increasing"),
     ("lemma-b", 2, "bracket.horizon=1e5",
      BRACKET_RUN + f"horizon 100000.0 in intervals of 0.25 at step 0.015625 {CAP}"),
     ("lemma-b", 3, "bracket.horizon=0.3",
@@ -127,6 +137,11 @@ VIOLATIONS = [
     ("growth", "recipe", "recipe.k_min=5",
      "pde.s, recipe.k_min, recipe.k_max, recipe.size_hs: need 0 < k_min < k_max, "
      "got [5.0, 4.7]"),
+    # the data band is checked on the grid before the first cell synthesizes
+    ("growth", "band", "recipe.k_min=0.01 recipe.k_max=0.02",
+     BAND + "band [0.01, 0.02] holds no mode off the mean and the Nyquist planes"),
+    ("growth", "band", "recipe.k_max=5.2",
+     BAND + "band edge 5.2 is not resolved (representable limit 5.101310711908737)"),
     # above s_c, so PdeParams takes it, but at or below the regularity threshold
     ("growth", "exponents", "pde.s=0.9",
      "pde.p, pde.s: s=0.9 is at or below the regularity threshold for p=4.0; "
@@ -330,6 +345,11 @@ class TestSeedList:
     def test_duplicates_rejected(self):
         with pytest.raises(ConfigError):
             seed_list({"seeds": (1, 1, 2)})
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ConfigError, match=f"at least 1, got {count}"):
+            seed_list({"seeds": (), "ensemble.count": count})
 
     def test_negative_rejected_anywhere_in_the_list(self):
         with pytest.raises(ConfigError, match="non-negative"):
