@@ -7,6 +7,8 @@ usual energy functional, the space-time norms measure D^(1-m) Iu in Lebesgue
 exponents drawn from the admissible triple region, and the ratio diagnostics
 divide measured left-hand sides by the scaling predictions so that a bounded,
 cutoff-trend-free ratio is evidence for the corresponding inequality.
+Each has one implementation: `smoothed_energy` calls `dynamics._energy_norms`
+with I, and `initial_bound_ratios` takes every cutoff in one call.
 
 The trajectory diagnostics are running reductions over time, so they have
 one per-state path, `OrbitMeter`: it measures each sampled state once as it
@@ -68,13 +70,6 @@ def smoothed_energy(state: WaveState, cutoff: float, s: float, p: float,
     the grid `oversample` times finer; a drift measurement along a run passes
     the stepper's factor, so it sees the solver's conserved quadrature, not
     base-grid aliasing noise.
-    """
-    return _smoothed(state, cutoff, s, p, oversample)[0]
-
-
-def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
-              oversample: int = 2) -> tuple[EnergyBreakdown, float, float]:
-    """`smoothed_energy`, and the norms |Iv| and |grad Iu| it squares.
 
     It is `dynamics._energy_norms`, the functional of `true_energy`, with I
     as the one multiplier, so no field is built: the norms of I v and I u
@@ -82,8 +77,8 @@ def _smoothed(state: WaveState, cutoff: float, s: float, p: float,
     """
     velocity, gradient, potential = _energy_norms(
         state, (smoothing_multiplier(cutoff, s),), p, oversample)
-    return (EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
-                            potential=potential), velocity, gradient)
+    return EnergyBreakdown(kinetic=0.5 * velocity ** 2, gradient=0.5 * gradient ** 2,
+                           potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,7 @@ class OrbitMeter:
     those functions feed a meter from a kept trajectory's states, so passing
     one as `observer=` to `evolve` or `linear_trajectory` with
     keep_states=False gives their results bit for bit without keeping the
-    orbit (both runs stamp sample i with times[i]).  The meter keeps numbers
+    orbit (both runs stamp sample i with the same t).  The meter keeps numbers
     only, no state: `norm_growth_ratio` takes the pair norms at the first and
     the last sample from its caller.
     """
@@ -279,29 +274,27 @@ class BoundRatios:
     energy: float
 
 
-def initial_bound_ratios(state: WaveState, cutoff: float, params: PdeParams) -> BoundRatios:
-    """Ratios of the smoothed-energy components to their data-norm predictions."""
-    return _bound_ratio_ladder(state, (cutoff,), params)[0]
-
-
-def _bound_ratio_ladder(state: WaveState, cutoffs, params: PdeParams) -> list[BoundRatios]:
-    """`initial_bound_ratios` at each cutoff; the data norms |u|_s, |v|_(s-1)
-    and |u|_(s_c) do not depend on the cutoff and are measured once."""
+def initial_bound_ratios(state: WaveState, cutoffs, params: PdeParams) -> list[BoundRatios]:
+    """Ratios of the smoothed-energy components to their data-norm
+    predictions, one per cutoff: the data norms |u|_s, |v|_(s-1) and
+    |u|_(s_c) are measured once, and each cutoff's parts and total are
+    `smoothed_energy`'s, at factor 2."""
     s, p = params.s, params.p
     norm_s = sobolev_norm(state.u, s)
     norm_v = sobolev_norm(state.v, s - 1.0)
     norm_crit = sobolev_norm(state.u, params.s_crit)
     out = []
     for cutoff in cutoffs:
-        breakdown, vel_num, grad_num = _smoothed(state, cutoff, s, p)
-        pot_num = (p + 1.0) * breakdown.potential
+        velocity, gradient, potential = _energy_norms(
+            state, (smoothing_multiplier(cutoff, s),), p, 2)
+        total = 0.5 * velocity ** 2 + 0.5 * gradient ** 2 + potential
         factor = cutoff ** (1.0 - s)
         out.append(BoundRatios(
-            gradient=_ratio(grad_num, factor * norm_s),
-            velocity=_ratio(vel_num, factor * norm_v),
-            potential=_ratio(pot_num, factor ** 2 * norm_s ** 2 * norm_crit ** (p - 1.0)),
-            energy=_ratio(breakdown.total,
-                          factor ** 2 * data_size((norm_s, norm_v), norm_crit, p)),
+            gradient=_ratio(gradient, factor * norm_s),
+            velocity=_ratio(velocity, factor * norm_v),
+            potential=_ratio((p + 1.0) * potential,
+                             factor ** 2 * norm_s ** 2 * norm_crit ** (p - 1.0)),
+            energy=_ratio(total, factor ** 2 * data_size((norm_s, norm_v), norm_crit, p)),
         ))
     return out
 

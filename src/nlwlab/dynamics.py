@@ -114,7 +114,8 @@ def _check_power(p) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit: times, optionally the sampled states, and the final state.
+    """Sampled orbit: optionally the sampled states, each with its t, and the
+    final state.
 
     A stepped orbit also reports what the solver did: the effective step h
     (see `step_plan`), the number of steps and the number of kick
@@ -123,7 +124,6 @@ class Trajectory:
     the kick's factor (the free-wave orbit keeps the default, 2).
     """
 
-    times: np.ndarray
     states: list[WaveState] | None
     final: WaveState
     h: float | None = None
@@ -246,9 +246,10 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     The step is cfg.dt or the largest value below it that divides the sampling
     interval evenly, so every observation lands exactly on a step boundary.
     The run must obey `step_plan`, its states counted only with keep_states.
-    Non-finite values abort with BlowUpError and the offending time stamp.
-    The run releases its input state once the halves are copied, and each
-    sample before it builds the next.
+    Sample i is stamped t + i interval; non-finite values abort with
+    BlowUpError and the offending time stamp.  The run releases its input
+    state once the halves are copied, and each sample before it builds the
+    next.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
     grid = state.grid
@@ -298,7 +299,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
             raise BlowUpError(float(times[i]))
         del current  # the last sample is released before the next is built
         current = snapshot(i)
-    return Trajectory(times=times, states=states, final=current, h=h,
+    return Trajectory(states=states, final=current, h=h,
                       steps=n_samples * steps_per, kicks=kicks, oversample=ov)
 
 
@@ -308,10 +309,10 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
 
     Its plan is `step_plan`'s at one step per interval, its states counted
     only with keep_states.  The first sample is `state` itself; each later
-    one is `propagate_linear(previous sample, sample_interval)` at the time
-    times[i], so the run rotates by one duration.  keep_states and observer
-    work as in `evolve`; the run lets go of `state` after sample 0, and while
-    a sample is built only the one before it is alive.
+    one is `propagate_linear(previous sample, sample_interval)`, stamped
+    t + i sample_interval, so the run rotates by one duration.  keep_states
+    and observer work as in `evolve`; the run lets go of `state` after
+    sample 0, and while a sample is built only the one before it is alive.
     """
     count, _, _ = step_plan(horizon, sample_interval, sample_interval,
                             state.grid if keep_states else None)
@@ -325,7 +326,7 @@ def linear_trajectory(state: WaveState, horizon: float, sample_interval: float, 
             states.append(state)
         if observer is not None:
             observer(state)
-    return Trajectory(times=times, states=states, final=state)
+    return Trajectory(states=states, final=state)
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,17 @@ def smoothing_profile(rho, s: float):
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """Radial Fourier multiplier; build via the factory functions below."""
+    """Radial Fourier multiplier; build via the factory functions below.
+    A cutoff, sharp or smooth, must be positive (FieldError)."""
 
     kind: str
     order: float = 0.0
     cutoff: float = 0.0
     s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind in ("smoothing", "low_pass") and self.cutoff <= 0.0:
+            raise FieldError(f"cutoff must be positive, got {self.cutoff}")
 
     def symbol(self, kmag: np.ndarray) -> np.ndarray:
         if self.kind == "power":
@@ -328,8 +333,6 @@ def power_multiplier(order: float) -> MultiplierSpec:
 
 def smoothing_multiplier(cutoff: float, s: float) -> MultiplierSpec:
     """Identity below the cutoff, (cutoff/|k|)^(1-s) damping above twice it."""
-    if cutoff <= 0.0:
-        raise FieldError(f"cutoff must be positive, got {cutoff}")
     return MultiplierSpec(kind="smoothing", cutoff=cutoff, s=s)
 
 
@@ -634,8 +637,6 @@ def frequency_split(field: SpectralField, cutoff: float) -> tuple[SpectralField,
 
     The two parts sum to the original field exactly, coefficient by coefficient.
     """
-    if cutoff <= 0.0:
-        raise FieldError(f"cutoff must be positive, got {cutoff}")
     low = apply_multiplier(field, low_pass(cutoff))
     return low, field - low
 

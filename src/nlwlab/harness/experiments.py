@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data import perturb, rescale, synthesize
-from ..diagnostics import OrbitMeter, _bound_ratio_ladder, _ratio, \
-    fit_loglog_slope, smoothed_energy
+from ..diagnostics import OrbitMeter, _ratio, fit_loglog_slope, \
+    initial_bound_ratios, smoothed_energy
 from ..dynamics import WaveState, evolve, linear_trajectory, pair_sobolev_norm, \
     pde_residual, state_difference
 from ..params import growth_exponents, composite_critical_exponent, \
@@ -150,8 +150,8 @@ def _judge_acl(values: dict, measured: dict):
 def _lemma_a_cell(values: dict, seed: int) -> list:
     params = _pde(values)
     cutoffs = values["bounds.cutoffs"]
-    ladder = _bound_ratio_ladder(synthesize(_recipe(values, seed), _grid(values)),
-                                 cutoffs, params)
+    ladder = initial_bound_ratios(synthesize(_recipe(values, seed), _grid(values)),
+                                  cutoffs, params)
     return [(cutoff, ratios.gradient, ratios.velocity, ratios.potential,
              ratios.energy) for cutoff, ratios in zip(cutoffs, ladder)]
 
@@ -395,11 +395,12 @@ def _strichartz_cell(values: dict, seed: int) -> list:
     amp = _amplitude_for_energy(breakdown.kinetic + breakdown.gradient,
                                 breakdown.potential, params.p,
                                 values["zbound.energy_target"])
-    small = WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)
+    small = [WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)]
     del w0
     meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True,
                        oversample=stepper.oversample)
-    evolve(small, values["zbound.tau"], stepper,
+    # popped into the call, so the run can let go of its input
+    evolve(small.pop(), values["zbound.tau"], stepper,
            sample_interval=values["zbound.sample_interval"], keep_states=False,
            observer=meter)
     z_max = meter.spacetime_report(zb_cutoff).z_max

@@ -4,6 +4,7 @@ Closed forms come from single cosine modes at integer p; wiring checks use the
 exact identities of the linear flow (isometry, commuting radial multipliers).
 """
 
+import functools
 import math
 import weakref
 
@@ -16,9 +17,7 @@ from nlwlab.diagnostics import (
     DiagnosticsError,
     GrowthReport,
     OrbitMeter,
-    _bound_ratio_ladder,
     _ratio,
-    _smoothed,
     energy_drift,
     fit_loglog_slope,
     initial_bound_ratios,
@@ -31,6 +30,7 @@ from nlwlab.dynamics import (
     StepperConfig,
     Trajectory,
     WaveState,
+    _energy_norms,
     evolve,
     linear_trajectory,
     pair_sobolev_norm,
@@ -70,9 +70,8 @@ def desk_run(seed=5, size=3.0, horizon=0.5, interval=0.125):
 
 
 def constant_trajectory(state, times):
-    t = np.asarray(times, dtype=np.float64)
-    states = [WaveState(u=state.u, v=state.v, t=float(x)) for x in t]
-    return Trajectory(times=t, states=states, final=states[-1])
+    states = [WaveState(u=state.u, v=state.v, t=float(x)) for x in times]
+    return Trajectory(states=states, final=states[-1])
 
 
 class TestSmoothedEnergy:
@@ -133,7 +132,8 @@ class TestSmoothedEnergy:
         for cutoff in (0.5, 2.0, 4.0):
             smoother = smoothing_multiplier(cutoff, 0.95)
             for w in states:  # alternated, so each call meets the last one's buffer
-                got, velocity, gradient = _smoothed(w, cutoff, 0.95, 4.0, oversample)
+                got = smoothed_energy(w, cutoff, 0.95, 4.0, oversample)
+                velocity, gradient, _ = _energy_norms(w, (smoother,), 4.0, oversample)
                 iv = apply_multiplier(w.v, smoother)
                 iu = apply_multiplier(w.u, smoother)
                 assert velocity == sobolev_norm(iv, 0.0)
@@ -205,8 +205,7 @@ class TestSpacetimeNorm:
             states = [WaveState(u=from_coeffs(G3, rng.standard_normal(G3.shape)
                                               + 1j * rng.standard_normal(G3.shape)),
                                 v=zero_field(G3), t=t) for t in (0.0, 0.25, 0.5)]
-            traj = Trajectory(times=np.array([0.0, 0.25, 0.5]), states=states,
-                              final=states[-1])
+            traj = Trajectory(states=states, final=states[-1])
         before = [(w.u.coeffs.copy(), w.v.coeffs.copy()) for w in traj.states]
         # a 1-ulp change in a coefficient rarely reaches the norm, so the
         # coefficients each quadrature samples are compared too
@@ -230,7 +229,8 @@ class TestSpacetimeNorm:
                 if math.isinf(triple.q):
                     assert got == float(np.max(phi))
                 else:
-                    assert got == float(np.trapezoid(phi ** triple.q, traj.times)
+                    times = [w.t for w in traj.states]
+                    assert got == float(np.trapezoid(phi ** triple.q, times)
                                         ** (1.0 / triple.q))
                 assert len(inside) == len(iu)
                 for a, f in zip(inside, iu):
@@ -249,8 +249,7 @@ class TestSpacetimeReport:
 
     def test_monotone_in_interval_length(self):
         traj = desk_run(horizon=0.5, interval=0.125)
-        half = Trajectory(times=traj.times[:3], states=traj.states[:3],
-                          final=traj.states[2])
+        half = Trajectory(states=traj.states[:3], final=traj.states[2])
         z_half = spacetime_report(half, P4, 4.0).z_max
         z_full = spacetime_report(traj, P4, 4.0).z_max
         assert z_half <= z_full * (1.0 + 1e-12)
@@ -313,18 +312,18 @@ class TestInitialBoundRatios:
         low_u, _ = frequency_split(w.u, 1.0)
         low_v, _ = frequency_split(w.v, 1.0)
         band = WaveState(u=low_u, v=low_v)
-        r = initial_bound_ratios(band, 1.0, P4)
+        r, = initial_bound_ratios(band, (1.0,), P4)
         assert r.gradient <= 1.0 + 1e-12
 
     def test_zero_state_guard(self):
         w = WaveState(u=zero_field(G3), v=zero_field(G3))
-        r = initial_bound_ratios(w, 4.0, P4)
+        r, = initial_bound_ratios(w, (4.0,), P4)
         assert r.gradient == 0.0 and r.velocity == 0.0
         assert r.potential == 0.0 and r.energy == 0.0
 
     def test_generic_ratios_finite_and_positive(self):
         for seed in range(5):
-            r = initial_bound_ratios(desk_state(seed=seed), 4.0, P4)
+            r, = initial_bound_ratios(desk_state(seed=seed), (4.0,), P4)
             for val in (r.gradient, r.velocity, r.potential, r.energy):
                 assert math.isfinite(val) and val > 0.0
 
@@ -333,13 +332,15 @@ class TestInitialBoundRatios:
         s, p = P4.s, P4.p
         zero = WaveState(u=zero_field(G3), v=zero_field(G3))
         for w in (desk_state(seed=5), desk_state(seed=6, size=1.0), zero):
-            ladder = _bound_ratio_ladder(w, cutoffs, P4)
-            assert ladder == [initial_bound_ratios(w, c, P4) for c in cutoffs]
+            ladder = initial_bound_ratios(w, cutoffs, P4)
+            assert ladder == [initial_bound_ratios(w, (c,), P4)[0] for c in cutoffs]
             norm_s = sobolev_norm(w.u, s)
             norm_v = sobolev_norm(w.v, s - 1.0)
             norm_crit = sobolev_norm(w.u, P4.s_crit)
             for cutoff, got in zip(cutoffs, ladder):
-                breakdown, velocity, gradient = _smoothed(w, cutoff, s, p)
+                breakdown = smoothed_energy(w, cutoff, s, p)
+                velocity, gradient, _ = _energy_norms(
+                    w, (smoothing_multiplier(cutoff, s),), p, 2)
                 factor = cutoff ** (1.0 - s)
                 assert got == BoundRatios(
                     gradient=_ratio(gradient, factor * norm_s),
@@ -417,12 +418,16 @@ class TestOrbitMeter:
         w = WaveState(u=w.u, v=w.v, t=0.375)
         meter = OrbitMeter((4.0,), P4.s, P4.p)
         if kind == "evolve":
-            traj = evolve(w, 0.5, StepperConfig(dt=1.0 / 32, p=4.0),
-                          sample_interval=0.125, keep_states=False, observer=meter)
+            run = functools.partial(evolve, w, 0.5, StepperConfig(dt=1.0 / 32, p=4.0),
+                                    sample_interval=0.125)
         else:
-            traj = linear_trajectory(w, 0.5, 0.125, keep_states=False, observer=meter)
-        assert meter.count == len(traj.times) == 5
-        assert np.array_equal(meter.times, traj.times)
+            run = functools.partial(linear_trajectory, w, 0.5, 0.125)
+        traj = run(keep_states=False, observer=meter)
+        kept = run()
+        assert meter.count == len(kept.states) == 5
+        assert meter.times == [s.t for s in kept.states]
+        assert meter.times == list(0.375 + 0.125 * np.arange(5))
+        assert meter.times[-1] == traj.final.t
 
     def test_rejects_states_at_uneven_times(self):
         meter = OrbitMeter((4.0,), P4.s, P4.p, reference_triples(P4))

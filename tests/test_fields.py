@@ -783,6 +783,10 @@ class TestFrequencySplit:
     def test_rejects_nonpositive_cutoff(self):
         with pytest.raises(FieldError):
             frequency_split(random_field(G3, 1), 0.0)
+        # one rule: the sharp cutoff refuses what the smoothing one does
+        for cutoff in (0.0, -1.0):
+            with pytest.raises(FieldError, match=f"cutoff must be positive, got {cutoff}"):
+                low_pass(cutoff)
 
     @pytest.mark.parametrize("cutoff", [0.4, 1.0, 2.5])
     def test_low_part_is_the_low_pass_multiplier(self, cutoff):

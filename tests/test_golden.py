@@ -20,9 +20,16 @@ so its floor is 1e-12 / 1e-5.
 Regenerate only when the physics is meant to change, and say so:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+To show that a change is bit for bit, print the SHA-256 of each shrunk
+experiment's CSV text and of its summary without `duration_seconds` (the
+text `write_summary` writes), on both trees, and diff the two printouts:
+
+    PYTHONPATH=src python tests/test_golden.py --hashes
 """
 
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -32,6 +39,7 @@ import pytest
 
 from nlwlab.harness.config import build_config
 from nlwlab.harness.experiments import run_experiment
+from nlwlab.harness.records import rows_to_csv_text
 
 from test_acceptance import SHRUNK
 
@@ -192,11 +200,26 @@ def test_mismatch_detects_a_relative_change():
     assert _mismatches("acl", {"y": [1.0, 2.0]}, want)
 
 
+def output_hashes(name: str) -> tuple[str, str]:
+    """SHA-256 of one shrunk experiment's CSV text and of its summary text
+    without `duration_seconds`, the one field that differs between runs."""
+    result = _shrunk_run(name)
+    summary = {k: v for k, v in result.summary.items() if k != "duration_seconds"}
+    texts = (rows_to_csv_text(name, result.records),
+             json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    for path, build in ((GOLDEN, numeric_columns),
-                        (GOLDEN_SUMMARIES, summary_values)):
-        values = {name: build(name) for name in sorted(SHRUNK)}
-        path.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+    if sys.argv[1:] == ["--hashes"]:
+        for name in sorted(SHRUNK):
+            for digest, suffix in zip(output_hashes(name), (".csv", "_summary.json")):
+                print(f"{digest}  {name}{suffix}")
+    elif sys.argv[1:] == ["--write"]:
+        for path, build in ((GOLDEN, numeric_columns),
+                            (GOLDEN_SUMMARIES, summary_values)):
+            values = {name: build(name) for name in sorted(SHRUNK)}
+            path.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {path}")
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --hashes")

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,34 @@ class TestRunExperiment:
         cell, _ = experiments._TABLE[name]
         cell(values, seed_list(values)[0])
         assert calls == [(fn, False, True) for fn in runs]
+
+    @pytest.mark.parametrize("name", ["acl", "lemma-b", "growth", "strichartz"])
+    def test_measured_runs_let_go_of_their_input(self, name, monkeypatch):
+        # each cell hands `evolve` its only reference to the run's input, so
+        # the input is gone by the time the observer sees sample 1; the
+        # strichartz linear orbit's input is read afterwards and is not spied
+        dead = []
+
+        def spy(state, horizon, cfg, *, sample_interval, keep_states, observer):
+            ref = weakref.ref(state)
+            samples = []
+
+            def watch(sample):
+                if len(samples) == 1:
+                    dead.append(ref() is None)
+                samples.append(sample.t)
+                observer(sample)
+
+            box = [state]
+            del state  # the spy holds no reference while the run goes on
+            return evolve(box.pop(), horizon, cfg, sample_interval=sample_interval,
+                          keep_states=keep_states, observer=watch)
+
+        monkeypatch.setattr(experiments, "evolve", spy)
+        values = build_config(name, overrides=SHRUNK[name])
+        cell, _ = experiments._TABLE[name]
+        cell(values, seed_list(values)[0])
+        assert dead == [True]
 
     def test_acl_drifts_use_the_stepper_oversample(self):
         # each rung's drift is max |E - E0| of the smoothed energy on the
