@@ -28,10 +28,11 @@ and completes it; `linear_trajectory` steps each sample from the last.
 Both runs hand each sampled state to an optional observer as it is made, and
 keep the states only with keep_states: an observer that measures each state
 (`diagnostics.OrbitMeter`) needs no kept orbit, and a run that keeps none is
-not held to the kept-state cap.  Such a run holds one sampled state:
-`evolve` lets go of its input once it has copied the halves and of each
-sample before it builds the next, `linear_trajectory` of each sample, the
-input first, once it has built the next from it.
+not held to the kept-state cap.  Such a run holds at most one sampled
+state: `evolve` lets go of its input once it has copied the halves and of
+each sample once the observer returns, so no sample is alive during the
+kicks, and `linear_trajectory` lets go of each sample, the input first, once
+it has built the next from it.
 """
 
 from __future__ import annotations
@@ -248,8 +249,10 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     The run must obey `step_plan`, its states counted only with keep_states.
     Sample i is stamped t + i interval; non-finite values abort with
     BlowUpError and the offending time stamp.  The run releases its input
-    state once the halves are copied, and each sample before it builds the
-    next.
+    state once the halves are copied.  Without keep_states it drops each
+    sample once the observer returns, before the kicks that follow it, and
+    keeps only the last, for `final`; the rotation scratch is allocated per
+    interval, so none of it is alive while a sample is observed.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
     grid = state.grid
@@ -262,8 +265,6 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     u = state.u.coeffs[..., :grid.n // 2].copy()
     v = state.v.coeffs[..., :grid.n // 2].copy()
     del state  # the run reads only its halves, times and grid from here on
-    u_next = np.empty_like(u)
-    v_next = np.empty_like(v)
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
@@ -274,12 +275,14 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
             observer(snap)
         return snap
 
-    current = snapshot(0)
+    snapshot(0)
     g = _nonlinear_raw(grid, u, p, ov)
     g *= 0.5 * h
     kicks = 1
     for i in range(1, n_samples + 1):
         v -= g  # the opening half-kick, at the u of the last observation
+        u_next = np.empty_like(u)
+        v_next = np.empty_like(v)
         for j in range(1, steps_per + 1):
             # u, v <- cos u + sinc v, -ksin u + cos v with no temporaries:
             # each buffer is overwritten once its old value is read
@@ -295,11 +298,12 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
             kicks += 1
             g *= h if j < steps_per else 0.5 * h
             v -= g
+        del u_next, v_next  # the scratch goes before the sample is built
         if not np.isfinite(u).all() or not np.isfinite(v).all():
             raise BlowUpError(float(times[i]))
-        del current  # the last sample is released before the next is built
-        current = snapshot(i)
-    return Trajectory(states=states, final=current, h=h,
+        if i < n_samples:
+            snapshot(i)  # dropped once observed, unless kept
+    return Trajectory(states=states, final=snapshot(n_samples), h=h,
                       steps=n_samples * steps_per, kicks=kicks, oversample=ov)
 
 

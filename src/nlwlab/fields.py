@@ -46,7 +46,8 @@ Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
 half it returns), `lebesgue_norm` and `sobolev_norm` (which take the field's
 multipliers and hold the product in a workspace buffer) and `_from_half`.
-A quadrature allocates nothing but its eight slab sums.
+A quadrature with no multiplier allocates nothing but its eight slab sums,
+and `sobolev_norm` nothing at all.
 `to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -347,14 +348,29 @@ def apply_multiplier(field: SpectralField, spec) -> SpectralField:
     A negative-order power multiplier demands a clean zero mode; the field
     conventions guarantee it, and a violation (hand-built coefficients) raises.
     """
-    specs = (spec,) if isinstance(spec, MultiplierSpec) else tuple(spec)
     out = field.coeffs
-    for sp in specs:
-        if sp.kind == "power" and sp.order < 0.0 \
-                and field.coeffs[(0,) * field.grid.dim] != 0.0:
-            raise FieldError("negative-order multiplier on a field with a mean")
+    for sp in _checked_specs(field, spec):
         out = out * _symbol(field.grid, sp)
     return _make(field.grid, np.ascontiguousarray(out))
+
+
+def _checked_specs(field: SpectralField, spec) -> tuple:
+    """One spec or a sequence of them as a tuple, after the mean check of
+    `apply_multiplier` and of both norms: a negative-order power multiplier
+    on a field whose zero mode is not 0 raises FieldError."""
+    specs = (spec,) if isinstance(spec, MultiplierSpec) else tuple(spec)
+    if field.coeffs[0, 0, 0] != 0.0 and any(
+            sp.kind == "power" and sp.order < 0.0 for sp in specs):
+        raise FieldError("negative-order multiplier on a field with a mean")
+    return specs
+
+
+def _norm_specs(field: SpectralField, spec) -> tuple:
+    """The checked specs that a norm multiplies by: a power of order 0 is
+    skipped, since its symbol is all ones and c * 1.0 == c for every finite
+    c, so the norm is the same and no all-ones symbol is built or cached."""
+    return tuple(sp for sp in _checked_specs(field, spec)
+                 if not (sp.kind == "power" and sp.order == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +383,23 @@ def sobolev_norm(field: SpectralField, sigma: float, multipliers=()) -> float:
 
     The zero mode carries no weight for any sigma (it is zero by convention,
     and negative orders are undefined there).  With multipliers the result is
-    `sobolev_norm(apply_multiplier(field, multipliers), sigma)` bit for bit,
-    the product held in the `full` buffer of the (n, n) workspace.
+    `sobolev_norm(apply_multiplier(field, multipliers), sigma)` (and raises
+    as it does), bit for bit for finite coefficients; a power of order 0 is
+    skipped.  It allocates nothing.  The product is held in the `full`
+    buffer of the (n, n) workspace, its real and imaginary parts each
+    multiplied by the real symbol: for finite values that is the complex
+    product up to the sign of a zero, which the squares drop, and it needs
+    no cast buffer.  |c|^2 is formed in the workspace's `phys` and `work`.
     """
     grid, c = field.grid, field.coeffs
-    for spec in multipliers:
-        c = np.multiply(c, _symbol(grid, spec), out=_workspace(grid.n, grid.n).full)
-    power = c.real * c.real
-    power += c.imag * c.imag
+    ws = _workspace(grid.n, grid.n)
+    for spec in _norm_specs(field, multipliers):
+        sym = _symbol(grid, spec)
+        np.multiply(c.real, sym, out=ws.full.real)
+        np.multiply(c.imag, sym, out=ws.full.imag)
+        c = ws.full
+    power = np.multiply(c.real, c.real, out=ws.phys)
+    power += np.multiply(c.imag, c.imag, out=ws.work)
     if sigma != 0.0:
         power *= _symbol(grid, power_multiplier(2.0 * sigma))
     return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
@@ -447,6 +472,9 @@ class _Workspace:
     * `full` holds the full-layout product of `sobolev_norm`, apart
       from every other buffer; its pages are touched only once it is used.
 
+    In the (n, n) workspace, whose one slab is the whole grid, `sobolev_norm`
+    also writes the squares of the real and the imaginary parts into `phys`
+    and `work`; `work` still aliases `half`, which that norm does not read.
     At n = 32, m = 64 this is 1.1 MiB, and `full` 0.5 MiB more.
     """
 
@@ -563,8 +591,9 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     forms |u|^r by products (`_power`), any other r by `np.power`.
 
     With multipliers the result is `lebesgue_norm(apply_multiplier(field,
-    multipliers), r, oversample)` bit for bit, the product's k_z < n/2 half
-    held in the workspace's `half`.  The samples, |.|^r (`_power`, into the
+    multipliers), r, oversample)` (and raises as it does), bit for bit, the
+    product's k_z < n/2 half held in the workspace's `half`; a power of order
+    0 is skipped, as in `sobolev_norm`.  The samples, |.|^r (`_power`, into the
     samples' buffer) and the sums all run slab by slab; the slab sums are
     added by one more `np.sum`, which gives numpy's pairwise sum of the whole.
     """
@@ -573,7 +602,7 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
-    for spec in multipliers:
+    for spec in _norm_specs(field, multipliers):
         coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
     sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
             for _, samples in _sample_slabs(grid, coeffs, m, ws)]

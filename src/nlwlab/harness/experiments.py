@@ -375,37 +375,40 @@ def _amplitude_for_energy(quad: float, pot: float, p: float, target: float) -> f
 
 
 def _strichartz_cell(values: dict, seed: int) -> list:
-    """A linear row per reference triple, then a zbound row (m, q, r, ratio blank)."""
+    """A linear row per reference triple, then a zbound row (m, q, r, ratio blank).
+
+    The data norms, the zbound energy and the zbound run are measured first,
+    so the data are handed to the linear orbit as its only reference and are
+    let go of once its next sample is built.
+    """
     params = _pde(values)
     triples = reference_triples(params)
-    w0 = synthesize(_recipe(values, seed), _grid(values))
-    cutoff = values["strichartz.cutoff"]
-    meter = OrbitMeter((cutoff,), params.s, params.p, triples)
-    linear_trajectory(w0, values["strichartz.horizon"],
-                      values["strichartz.sample_interval"], keep_states=False,
-                      observer=meter)
-    out = []
-    for triple in triples:
-        z_value = meter.spacetime_norm(triple, cutoff)
-        data_norm = pair_sobolev_norm(w0, triple.m)
-        out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
-                    _ratio(z_value, data_norm)))
+    data = [synthesize(_recipe(values, seed), _grid(values))]
+    data_norms = [pair_sobolev_norm(data[0], triple.m) for triple in triples]
     zb_cutoff, stepper = values["zbound.cutoff"], _stepper(values)
-    breakdown = smoothed_energy(w0, zb_cutoff, params.s, params.p, stepper.oversample)
+    breakdown = smoothed_energy(data[0], zb_cutoff, params.s, params.p, stepper.oversample)
     amp = _amplitude_for_energy(breakdown.kinetic + breakdown.gradient,
                                 breakdown.potential, params.p,
                                 values["zbound.energy_target"])
-    small = [WaveState(u=w0.u * amp, v=w0.v * amp, t=0.0)]
-    del w0
-    meter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True,
-                       oversample=stepper.oversample)
-    # popped into the call, so the run can let go of its input
+    small = [WaveState(u=data[0].u * amp, v=data[0].v * amp, t=0.0)]
+    zmeter = OrbitMeter((zb_cutoff,), params.s, params.p, triples, energies=True,
+                        oversample=stepper.oversample)
+    # each input is popped into its call, so the run can let go of it
     evolve(small.pop(), values["zbound.tau"], stepper,
            sample_interval=values["zbound.sample_interval"], keep_states=False,
-           observer=meter)
-    z_max = meter.spacetime_report(zb_cutoff).z_max
-    e_sup = meter.energy_drift(zb_cutoff).e_sup
-    out.append(("zbound", "", "", "", z_max, e_sup, ""))
+           observer=zmeter)
+    cutoff = values["strichartz.cutoff"]
+    meter = OrbitMeter((cutoff,), params.s, params.p, triples)
+    linear_trajectory(data.pop(), values["strichartz.horizon"],
+                      values["strichartz.sample_interval"], keep_states=False,
+                      observer=meter)
+    out = []
+    for triple, data_norm in zip(triples, data_norms):
+        z_value = meter.spacetime_norm(triple, cutoff)
+        out.append(("linear", triple.m, triple.q, triple.r, z_value, data_norm,
+                    _ratio(z_value, data_norm)))
+    out.append(("zbound", "", "", "", zmeter.spacetime_report(zb_cutoff).z_max,
+                zmeter.energy_drift(zb_cutoff).e_sup, ""))
     return out
 
 

@@ -567,6 +567,35 @@ class TestEvolve:
                keep_states=False)
         assert seen == pytest.approx([0.0, 0.25, 0.5])
 
+    @pytest.mark.parametrize("keep", [False, True], ids=["dropped", "kept"])
+    def test_no_observed_sample_is_alive_during_the_kicks(self, keep, monkeypatch):
+        # without keep_states each sample is dropped once the observer
+        # returns, before the kicks that follow it; kept states stay alive
+        # and unchanged
+        seen, copies, checked = [], [], []
+        original = dynamics._nonlinear_raw
+
+        def kick(*args):
+            if seen:
+                checked.append([ref() is None for ref in seen])
+            return original(*args)
+
+        def observer(state):
+            seen.append(weakref.ref(state))
+            copies.append((state.u.coeffs.copy(), state.v.coeffs.copy()))
+
+        monkeypatch.setattr(dynamics, "_nonlinear_raw", kick)
+        traj = evolve(make_state(57), 0.75, StepperConfig(dt=0.125, p=4.0),
+                      sample_interval=0.25, keep_states=keep, observer=observer)
+        assert len(seen) == 4 and len(checked) == 7  # every kick
+        assert all(dead == [not keep] * len(dead) for dead in checked)
+        assert seen[-1]() is traj.final
+        if keep:
+            assert all(ref() is state for ref, state in zip(seen, traj.states))
+            for state, (u, v) in zip(traj.states, copies):
+                assert np.array_equal(state.u.coeffs, u)
+                assert np.array_equal(state.v.coeffs, v)
+
     def test_norm_continuity_in_time(self):
         w = make_state(46)
         def max_jump(dt):

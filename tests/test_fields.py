@@ -237,13 +237,19 @@ class TestMultipliers:
                                   low_pass(0.6))
         assert np.array_equal(seq.coeffs, nested.coeffs)
 
-    def test_negative_power_demands_mean_free(self):
+    @pytest.mark.parametrize("entry", ["apply_multiplier", "sobolev_norm", "lebesgue_norm"])
+    def test_negative_power_demands_mean_free(self, entry):
+        # the norms promise `apply_multiplier`'s product, so they share its check
         c = np.zeros(G3.shape, dtype=np.complex128)
         c[0, 0, 0] = 1.0
         c[1, 0, 0] = c[-1, 0, 0] = 0.5
         dirty = type(random_field(G3, 0))(grid=G3, coeffs=c)
-        with pytest.raises(FieldError):
-            apply_multiplier(dirty, power_multiplier(-0.5))
+        mults = (smoothing_multiplier(0.5, 0.9), power_multiplier(-0.5))
+        call = {"apply_multiplier": lambda: apply_multiplier(dirty, mults),
+                "sobolev_norm": lambda: sobolev_norm(dirty, 0.5, mults),
+                "lebesgue_norm": lambda: lebesgue_norm(dirty, 5.0, 1, mults)}[entry]
+        with pytest.raises(FieldError, match="negative-order multiplier on a field with a mean"):
+            call()
 
     def test_hermitian_symmetry_preserved(self):
         f = random_field(G3, 23)
@@ -332,6 +338,23 @@ class TestSobolevNorm:
             for sigma in (0.0, 1.0, -0.05):
                 assert sobolev_norm(f, sigma, multipliers) == sobolev_norm(product, sigma)
             assert np.array_equal(f.coeffs, before)
+
+    def test_identity_multiplier_is_skipped(self):
+        # c * 1.0 == c for every finite c, so a power of order 0 changes no
+        # norm, and neither norm builds or caches its all-ones symbol
+        f = random_field(G32, 43, decay=1.0)
+        smoother = smoothing_multiplier(0.7, 0.95)
+        _symbol.cache_clear()
+        without = (sobolev_norm(f, 0.95, (smoother,)), lebesgue_norm(f, 5.3, 1, (smoother,)),
+                   lebesgue_norm(f, 5.0, 2, (smoother,)))
+        cached = _symbol.cache_info().currsize
+        identity = power_multiplier(0.0)
+        assert (sobolev_norm(f, 0.95, (identity, smoother)),
+                lebesgue_norm(f, 5.3, 1, (identity, smoother)),
+                lebesgue_norm(f, 5.0, 2, (smoother, identity))) == without
+        assert sobolev_norm(f, 0.95, (identity,)) == sobolev_norm(f, 0.95)
+        assert lebesgue_norm(f, 5.3, 1, (identity,)) == lebesgue_norm(f, 5.3, 1)
+        assert _symbol.cache_info().currsize == cached
 
     def test_single_mode_closed_form(self):
         # amplitude A cosine at |k0|: norm = A |k0|^sigma sqrt(L^3 / 2)
@@ -584,6 +607,14 @@ class TestWorkspaceMemory:
         u = random_field(G32, 44, decay=1.0)
         half, peak = self.traced_peak(lambda: _nonlinear_raw(G32, u.coeffs, 4.0, 2))
         assert peak <= half.nbytes + 64 * 2 ** 10
+
+    @pytest.mark.parametrize("multipliers", [
+        (), (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["none", "two"])
+    def test_sobolev_norm_allocates_under_64_kib(self, multipliers):
+        # the product and |c|^2 are formed in the (n, n) workspace
+        f = random_field(G32, 42, decay=1.0)
+        _, peak = self.traced_peak(lambda: sobolev_norm(f, 0.95, multipliers))
+        assert peak < 64 * 2 ** 10
 
     def test_oversampled_quadrature_allocates_under_64_kib(self):
         f = random_field(G32, 45, decay=1.0)

@@ -26,6 +26,12 @@ experiment's CSV text and of its summary without `duration_seconds` (the
 text `write_summary` writes), on both trees, and diff the two printouts:
 
     PYTHONPATH=src python tests/test_golden.py --hashes
+
+To show what a change does to memory, print the tracemalloc peak of one
+warm run of each shrunk experiment (one run after an untraced run of the
+same config, so the caches and workspaces already exist), on both trees:
+
+    PYTHONPATH=src python tests/test_golden.py --peaks
 """
 
 import functools
@@ -33,6 +39,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -210,11 +217,27 @@ def output_hashes(name: str) -> tuple[str, str]:
     return tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
 
 
+def warm_peak(name: str) -> int:
+    """Tracemalloc peak, in bytes, of one serial run of a shrunk experiment
+    after an untraced one."""
+    values = build_config(name, overrides=SHRUNK[name])
+    run_experiment(name, values, workers=1)
+    tracemalloc.start()
+    try:
+        run_experiment(name, values, workers=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--hashes"]:
         for name in sorted(SHRUNK):
             for digest, suffix in zip(output_hashes(name), (".csv", "_summary.json")):
                 print(f"{digest}  {name}{suffix}")
+    elif sys.argv[1:] == ["--peaks"]:
+        for name in sorted(SHRUNK):
+            print(f"{warm_peak(name) / 2 ** 20:8.3f} MiB  {name}")
     elif sys.argv[1:] == ["--write"]:
         for path, build in ((GOLDEN, numeric_columns),
                             (GOLDEN_SUMMARIES, summary_values)):
@@ -222,4 +245,5 @@ if __name__ == "__main__":
             path.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")
             print(f"wrote {path}")
     else:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write | --hashes")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--write | --hashes | --peaks")

@@ -17,7 +17,7 @@ import pytest
 
 from nlwlab.data import synthesize
 from nlwlab.diagnostics import energy_drift, norm_growth_ratio, smoothed_energy
-from nlwlab.dynamics import evolve, step_plan
+from nlwlab.dynamics import evolve, linear_trajectory, step_plan
 from nlwlab.harness import experiments
 from nlwlab.harness.cli import main
 from nlwlab.harness.config import (
@@ -527,9 +527,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name,runs", [
         ("acl", ["evolve"]), ("lemma-b", ["evolve"]),
-        ("strichartz", ["linear_trajectory", "evolve"])])
+        ("strichartz", ["evolve", "linear_trajectory"])])
     def test_measured_runs_keep_no_orbit(self, name, runs, monkeypatch):
-        # these cells measure each state as it is produced (OrbitMeter)
+        # these cells measure each state as it is produced (OrbitMeter);
+        # strichartz runs its zbound run first, so the linear orbit can take
+        # the data's only reference
         calls = []
         for fn in ("evolve", "linear_trajectory"):
             def spy(*args, _fn=fn, _original=getattr(experiments, fn), **kwargs):
@@ -544,31 +546,44 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["acl", "lemma-b", "growth", "strichartz"])
     def test_measured_runs_let_go_of_their_input(self, name, monkeypatch):
-        # each cell hands `evolve` its only reference to the run's input, so
-        # the input is gone by the time the observer sees sample 1; the
-        # strichartz linear orbit's input is read afterwards and is not spied
+        # each cell hands every measured run (`evolve`, and strichartz's
+        # linear orbit too) its only reference to the run's input, so the
+        # input is gone by the time the observer sees sample 1
         dead = []
 
-        def spy(state, horizon, cfg, *, sample_interval, keep_states, observer):
-            ref = weakref.ref(state)
-            samples = []
+        def watching(run, state, observer):
+            ref, samples = weakref.ref(state), []
 
             def watch(sample):
                 if len(samples) == 1:
-                    dead.append(ref() is None)
+                    dead.append((run, ref() is None))
                 samples.append(sample.t)
                 observer(sample)
+            return watch
 
+        # each spy names its arguments: a call through *args would hold the
+        # input in an argument tuple for the whole run
+        def evolve_spy(state, horizon, cfg, *, sample_interval, keep_states, observer):
+            watch = watching("evolve", state, observer)
             box = [state]
             del state  # the spy holds no reference while the run goes on
             return evolve(box.pop(), horizon, cfg, sample_interval=sample_interval,
                           keep_states=keep_states, observer=watch)
 
-        monkeypatch.setattr(experiments, "evolve", spy)
+        def linear_spy(state, horizon, sample_interval, *, keep_states, observer):
+            watch = watching("linear_trajectory", state, observer)
+            box = [state]
+            del state
+            return linear_trajectory(box.pop(), horizon, sample_interval,
+                                     keep_states=keep_states, observer=watch)
+
+        monkeypatch.setattr(experiments, "evolve", evolve_spy)
+        monkeypatch.setattr(experiments, "linear_trajectory", linear_spy)
         values = build_config(name, overrides=SHRUNK[name])
         cell, _ = experiments._TABLE[name]
         cell(values, seed_list(values)[0])
-        assert dead == [True]
+        runs = ["evolve", "linear_trajectory"] if name == "strichartz" else ["evolve"]
+        assert dead == [(run, True) for run in runs]
 
     def test_acl_drifts_use_the_stepper_oversample(self):
         # each rung's drift is max |E - E0| of the smoothed energy on the
