@@ -49,13 +49,10 @@ from .fields import (
     lebesgue_norm,
     low_pass,
     power_multiplier,
-    single_mode,
     smoothing_multiplier,
     smoothing_profile,
     sobolev_norm,
     to_physical,
-    wavenumber_of_index,
-    zero_field,
 )
 from .params import (
     IndeterminateThresholdError,

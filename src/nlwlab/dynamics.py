@@ -19,11 +19,12 @@ is the one integrator; `strang_step` is a single step of it.
 Between observations `evolve` carries only the k_z < n/2 half of u and v
 (see `fields`): the rotation symbols are even in k and the kick returns the
 half of an exactly Hermitian field, so the dropped half is always the
-conjugate reflection of the kept one.  Each sampled state is completed to
-the full layout once.  One cache (`_rotation`) holds the rotation symbols,
-and only their k_z < n/2 halves: `evolve` rotates its halves in place with
-them, and `propagate_linear`, the exact free wave, rotates a state's half
-and completes it; `linear_trajectory` steps each sample from the last.
+conjugate reflection of the kept one.  Each sampled state that is kept or
+observed, and the last, is completed to the full layout once.  One cache
+(`_rotation`) holds the rotation symbols, and only their k_z < n/2 halves:
+`evolve` rotates its halves in place with them, and `propagate_linear`, the
+exact free wave, rotates a state's half and completes it;
+`linear_trajectory` steps each sample from the last.
 
 Both runs hand each sampled state to an optional observer as it is made, and
 keep the states only with keep_states: an observer that measures each state
@@ -249,10 +250,11 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     The run must obey `step_plan`, its states counted only with keep_states.
     Sample i is stamped t + i interval; non-finite values abort with
     BlowUpError and the offending time stamp.  The run releases its input
-    state once the halves are copied.  Without keep_states it drops each
-    sample once the observer returns, before the kicks that follow it, and
-    keeps only the last, for `final`; the rotation scratch is allocated per
-    interval, so none of it is alive while a sample is observed.
+    state once the halves are copied.  A sample is completed to a state only
+    when it is kept or observed, and the last always, for `final`.  Without
+    keep_states it drops each sample once the observer returns, before the
+    kicks that follow it; the rotation scratch is allocated per interval, so
+    none of it is alive while a sample is observed.
     """
     interval = cfg.dt if sample_interval is None else sample_interval
     grid = state.grid
@@ -275,7 +277,9 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
             observer(snap)
         return snap
 
-    snapshot(0)
+    read = keep_states or observer is not None  # else only `final` is built
+    if read:
+        snapshot(0)
     g = _nonlinear_raw(grid, u, p, ov)
     g *= 0.5 * h
     kicks = 1
@@ -301,7 +305,7 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
         del u_next, v_next  # the scratch goes before the sample is built
         if not np.isfinite(u).all() or not np.isfinite(v).all():
             raise BlowUpError(float(times[i]))
-        if i < n_samples:
+        if read and i < n_samples:
             snapshot(i)  # dropped once observed, unless kept
     return Trajectory(states=states, final=snapshot(n_samples), h=h,
                       steps=n_samples * steps_per, kicks=kicks, oversample=ov)

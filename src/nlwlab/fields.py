@@ -44,10 +44,12 @@ m^3 buffers.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
-half it returns), `lebesgue_norm` and `sobolev_norm` (which take the field's
-multipliers and hold the product in a workspace buffer) and `_from_half`.
-A quadrature with no multiplier allocates nothing but its eight slab sums,
-and `sobolev_norm` nothing at all.
+half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Both
+norms multiply by each symbol alike, the real parts into one real workspace
+buffer and the imaginary parts into another: for finite values that is
+`apply_multiplier`'s product up to the sign of a zero, which no norm reads,
+with no cast buffer.  A quadrature with no multiplier allocates nothing but
+its eight slab sums, and `sobolev_norm` nothing at all.
 `to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -207,10 +209,6 @@ def from_coeffs(grid: Grid, coeffs: np.ndarray) -> SpectralField:
     return _make(grid, _clean(grid, out))
 
 
-def zero_field(grid: Grid) -> SpectralField:
-    return _make(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
     """Forward transform of real grid samples, normalized by 1/n^3.
 
@@ -232,35 +230,6 @@ def to_physical(field: SpectralField) -> np.ndarray:
     for rows, samples in _sample_slabs(grid, field.coeffs, grid.n, _workspace(grid.n, grid.n)):
         out[rows] = samples
     return out
-
-
-def single_mode(grid: Grid, index: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
-    """Real field amplitude * cos(k.x + phase) at wavenumber index.
-
-    A complex amplitude a yields Re(a exp(i k.x)); the two symmetric
-    coefficients are a/2 and conj(a)/2.  The zero mode and Nyquist indices are
-    rejected since they cannot carry a paired mode.
-    """
-    if len(index) != grid.dim:
-        raise FieldError(f"index length {len(index)} != dim {grid.dim}")
-    half = grid.n // 2
-    if all(i % grid.n == 0 for i in index):
-        raise FieldError("zero mode cannot carry a field (mean-free convention)")
-    if any(i % grid.n == half for i in index):
-        raise FieldError("Nyquist indices are excluded by convention")
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    pos = tuple(i % grid.n for i in index)
-    neg = tuple((-i) % grid.n for i in index)
-    c[pos] = 0.5 * amplitude
-    c[neg] = 0.5 * np.conj(amplitude)
-    return _make(grid, c)
-
-
-def wavenumber_of_index(grid: Grid, index: tuple[int, ...]) -> float:
-    """|k| for an integer index vector (indices interpreted symmetrically)."""
-    signed = [i if i <= grid.n // 2 else i - grid.n for i in
-              (j % grid.n for j in index)]
-    return grid.k_spacing * math.sqrt(sum(i * i for i in signed))
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +354,18 @@ def sobolev_norm(field: SpectralField, sigma: float, multipliers=()) -> float:
     and negative orders are undefined there).  With multipliers the result is
     `sobolev_norm(apply_multiplier(field, multipliers), sigma)` (and raises
     as it does), bit for bit for finite coefficients; a power of order 0 is
-    skipped.  It allocates nothing.  The product is held in the `full`
-    buffer of the (n, n) workspace, its real and imaginary parts each
-    multiplied by the real symbol: for finite values that is the complex
-    product up to the sign of a zero, which the squares drop, and it needs
-    no cast buffer.  |c|^2 is formed in the workspace's `phys` and `work`.
+    skipped.  It allocates nothing: the product's real and imaginary parts
+    (see the module docstring) are held in the (n, n) workspace's `phys` and
+    `work` and squared there.
     """
-    grid, c = field.grid, field.coeffs
+    grid, re, im = field.grid, field.coeffs.real, field.coeffs.imag
     ws = _workspace(grid.n, grid.n)
     for spec in _norm_specs(field, multipliers):
         sym = _symbol(grid, spec)
-        np.multiply(c.real, sym, out=ws.full.real)
-        np.multiply(c.imag, sym, out=ws.full.imag)
-        c = ws.full
-    power = np.multiply(c.real, c.real, out=ws.phys)
-    power += np.multiply(c.imag, c.imag, out=ws.work)
+        re = np.multiply(re, sym, out=ws.phys)
+        im = np.multiply(im, sym, out=ws.work)
+    power = np.multiply(re, re, out=ws.phys)
+    power += np.multiply(im, im, out=ws.work)
     if sigma != 0.0:
         power *= _symbol(grid, power_multiplier(2.0 * sigma))
     return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
@@ -468,14 +434,12 @@ class _Workspace:
       slab's rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
       which `_fold_half` writes once every slab is in, and `half`, the
       multiplied k_z < n/2 coefficients of `lebesgue_norm`, which
-      `_sample_slabs` has read into `rows` before `work` is written;
-    * `full` holds the full-layout product of `sobolev_norm`, apart
-      from every other buffer; its pages are touched only once it is used.
+      `_sample_slabs` has read into `rows` before `work` is written.
 
     In the (n, n) workspace, whose one slab is the whole grid, `sobolev_norm`
-    also writes the squares of the real and the imaginary parts into `phys`
-    and `work`; `work` still aliases `half`, which that norm does not read.
-    At n = 32, m = 64 this is 1.1 MiB, and `full` 0.5 MiB more.
+    holds the real and the imaginary parts of its product in `phys` and
+    `work`; `work` still aliases `half`, which that norm does not read.
+    At n = 32 this is 1.0 MiB, and 1.1 MiB at m = 64.
     """
 
     def __init__(self, n: int, m: int):
@@ -490,7 +454,6 @@ class _Workspace:
         self.mirror = flat[:n * n].reshape(n, n, 1)
         self.half = flat[:n * n * h].reshape(n, n, h)
         self.work = flat.view(np.float64)[:planes * m * m].reshape(planes, m, m)
-        self.full = np.empty((n, n, n), dtype=np.complex128)
 
 
 @lru_cache(maxsize=4)
@@ -603,7 +566,10 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
     for spec in _norm_specs(field, multipliers):
-        coeffs = np.multiply(coeffs[..., :h], _symbol(grid, spec)[..., :h], out=ws.half)
+        sym = _symbol(grid, spec)[..., :h]
+        np.multiply(coeffs.real[..., :h], sym, out=ws.half.real)
+        np.multiply(coeffs.imag[..., :h], sym, out=ws.half.imag)
+        coeffs = ws.half
     sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
             for _, samples in _sample_slabs(grid, coeffs, m, ws)]
     return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)

@@ -28,8 +28,9 @@ from nlwlab.dynamics import (
     pde_residual,
     state_difference,
 )
-from nlwlab.fields import Grid, from_coeffs, sobolev_norm, to_physical, wavenumber_of_index
+from nlwlab.fields import Grid, from_coeffs, sobolev_norm, to_physical
 from nlwlab.params import PdeParams
+from modes import wavenumber_of_index
 
 P4 = PdeParams(p=4.0, s=0.95)
 G3 = Grid(n=32, L=32.0, dim=3)

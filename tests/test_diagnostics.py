@@ -45,13 +45,12 @@ from nlwlab.fields import (
     frequency_split,
     lebesgue_norm,
     power_multiplier,
-    single_mode,
     smoothing_multiplier,
     sobolev_norm,
     to_physical,
-    zero_field,
 )
 from nlwlab.params import INF, PdeParams, TripleMQR, data_size, reference_triples
+from modes import single_mode, zero_field
 
 P4 = PdeParams(p=4.0, s=0.95)
 G3 = Grid(n=32, L=32.0, dim=3)

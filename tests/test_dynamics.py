@@ -39,11 +39,10 @@ from nlwlab.fields import (
     lebesgue_norm,
     low_pass,
     power_multiplier,
-    single_mode,
     sobolev_norm,
     to_physical,
-    zero_field,
 )
+from modes import single_mode, zero_field
 from test_spectral_reference import (
     BIT_SHAPES, block_slices, reference_band, reference_samples, reverse_indices)
 
@@ -595,6 +594,28 @@ class TestEvolve:
             for state, (u, v) in zip(traj.states, copies):
                 assert np.array_equal(state.u.coeffs, u)
                 assert np.array_equal(state.v.coeffs, v)
+
+    @pytest.mark.parametrize("run,completed", [
+        (strang_step, 2),
+        # a `continuity` run: its sample 0 is read by nobody
+        (lambda w, cfg: evolve(w, 1.0, cfg, sample_interval=1.0, keep_states=False), 2),
+        (lambda w, cfg: evolve(w, 0.75, cfg, sample_interval=0.25), 8),
+        (lambda w, cfg: evolve(w, 0.75, cfg, sample_interval=0.25, keep_states=False,
+                               observer=lambda state: None), 8),
+    ], ids=["strang-step", "unread", "kept", "observed"])
+    def test_only_kept_observed_and_final_samples_are_completed(self, run, completed,
+                                                                monkeypatch):
+        # each completed sample is two `_from_half` calls, for u and for v
+        calls = []
+        original = dynamics._from_half
+
+        def from_half(grid, half):
+            calls.append(grid)
+            return original(grid, half)
+
+        monkeypatch.setattr(dynamics, "_from_half", from_half)
+        run(make_state(59, grid=Grid(n=32, L=32.0)), StepperConfig(dt=0.125, p=4.0))
+        assert len(calls) == completed
 
     def test_norm_continuity_in_time(self):
         w = make_state(46)

@@ -33,17 +33,15 @@ from nlwlab.fields import (
     lebesgue_norm,
     low_pass,
     power_multiplier,
-    single_mode,
     smoothing_multiplier,
     smoothing_profile,
     sobolev_norm,
     to_physical,
-    wavenumber_of_index,
-    zero_field,
 )
 from nlwlab.diagnostics import OrbitMeter, smoothed_energy
 from nlwlab.dynamics import WaveState, _nonlinear_raw, nonlinear_term, pde_residual, true_energy
 from nlwlab.params import PdeParams, TripleMQR, reference_triples
+from modes import single_mode, wavenumber_of_index, zero_field
 from test_spectral_reference import (
     BIT_SHAPES, block_slices, reference_band, reference_samples, reverse_indices)
 
@@ -571,6 +569,16 @@ def workspace_arrays(ws):
     return [a for a in values if isinstance(a, np.ndarray)]
 
 
+def workspace_bytes(ws):
+    """Bytes of the distinct buffers of a workspace (`spec`, `work`, ... share
+    memory, and count once)."""
+    bases = {}
+    for a in workspace_arrays(ws):
+        base = a if a.base is None else a.base
+        bases[id(base)] = base.nbytes
+    return sum(bases.values())
+
+
 class TestWorkspaceMemory:
     """The oversampled transforms stream slabs of x-planes, so a workspace
     holds no m^3 buffer and a kick or a quadrature allocates next to nothing."""
@@ -586,11 +594,12 @@ class TestWorkspaceMemory:
         assert _workspace.cache_info().misses == 2
 
     def test_oversampled_workspace_holds_at_most_2_mib(self):
-        bases = {}
-        for a in workspace_arrays(_workspace(G32.n, 2 * G32.n)):
-            base = a if a.base is None else a.base  # `spec`, `work`, ... share memory
-            bases[id(base)] = base.nbytes
-        assert sum(bases.values()) <= 2 * 2 ** 20
+        assert workspace_bytes(_workspace(G32.n, 2 * G32.n)) <= 2 * 2 ** 20
+
+    def test_workspace_holds_at_most_1_1_mib(self):
+        # the norms hold their products in the slab buffers, so a factor-1
+        # workspace is those buffers alone
+        assert workspace_bytes(_workspace(G32.n, G32.n)) <= 1.1 * 2 ** 20
 
     @staticmethod
     def traced_peak(fn):
@@ -620,6 +629,16 @@ class TestWorkspaceMemory:
         f = random_field(G32, 45, decay=1.0)
         _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.0, 2))
         assert peak < 64 * 2 ** 10
+
+    @pytest.mark.parametrize("factor,multipliers", [
+        (1, (power_multiplier(-0.05), smoothing_multiplier(4.0, 0.95))),
+        (2, (smoothing_multiplier(4.0, 0.95),))], ids=["1", "2"])
+    def test_quadrature_with_multipliers_allocates_under_192_kib(self, factor, multipliers):
+        # real-by-real products into `half` need no cast of the symbol; what
+        # remains are numpy's buffers for the strided k_z < n/2 views
+        f = random_field(G32, 45, decay=1.0)
+        _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.3, factor, multipliers))
+        assert peak < 192 * 2 ** 10
 
     def test_meter_builds_no_field(self):
         # each (cutoff, triple) norm multiplies u's half in a workspace
