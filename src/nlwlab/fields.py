@@ -27,20 +27,21 @@ integrator (`dynamics.evolve`) carries only halves between samples, and the
 exact free-wave propagator (`dynamics.propagate_linear`) rotates only the
 half.
 
-Every transform runs in a workspace: the buffers of `_workspace(n, m)` for
-its grid's n and its m-point samples, built once per process and shared by
-every grid of n points.  Every intermediate step writes into them through
-numpy's `out=`.  The physical-space step is
-pointwise and every step after the axis-0 inverse is independent per
-x-plane, so an oversampled pass (m > n) streams its m x-planes in eight
-slabs: the axis-0 inverse runs once, into an (m, n, n/2) buffer, and each
-slab is then sampled (`_sample_slabs`), reduced or, in the kick,
-transformed back into its own rows of that buffer (`_fold_slab`); the
-axis-0 forward transform runs once more at the end (`_fold_half`).  A
-pass at m = n is one slab.  Every per-row transform is the one the
-whole-array pass runs, so the results are the same bits, and the workspace
-holds no m^3 array: 1.1 MiB at n = 32, m = 64, against 5.6 MiB for whole
-m^3 buffers.
+Every transform runs in a workspace, `_workspace(n, m)` for its grid's n
+and its m-point samples: views into one set of buffers per n, built once per
+process, grown to the largest m asked for and shared by every grid of n
+points and every m, since no two passes are ever live at once.  Every
+intermediate step writes into them through numpy's `out=`.  The
+physical-space step is pointwise and every step after the axis-0 inverse is
+independent per x-plane, so an oversampled pass (m > n) streams its m
+x-planes in eight slabs: the axis-0 inverse runs once, into an (m, n, n/2)
+buffer, and each slab is then sampled (`_sample_slabs`), reduced or, in the
+kick, transformed back into its own rows of that buffer (`_fold_slab`); the
+axis-0 forward transform runs once more at the end (`_fold_half`).  A pass
+at m = n is one slab.  Every per-row transform is the one the
+whole-array pass runs, so the results are the same bits, and no workspace
+holds an m^3 array: the buffers of n = 32 hold 1.27 MiB for m = 32 and 64
+together, against 5.6 MiB for whole m^3 buffers at m = 64 alone.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
@@ -48,8 +49,11 @@ half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Both
 norms multiply by each symbol alike, the real parts into one real workspace
 buffer and the imaginary parts into another: for finite values that is
 `apply_multiplier`'s product up to the sign of a zero, which no norm reads,
-with no cast buffer.  A quadrature with no multiplier allocates nothing but
-its eight slab sums, and `sobolev_norm` nothing at all.
+with no cast buffer.  `lebesgue_norm` multiplies the k_z < n/2 half by
+each symbol's contiguous half (`_symbol(..., half=True)`), which is all it
+reads of a symbol; `sobolev_norm` reads full symbols.  A quadrature with
+no multiplier allocates nothing but its eight slab sums, and `sobolev_norm`
+nothing at all.
 `to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -289,9 +293,19 @@ class MultiplierSpec:
 
 
 @lru_cache(maxsize=64)
-def _symbol(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
-    """The symbol of spec on the grid's |k|, computed once per (grid, spec)."""
-    out = spec.symbol(_kmag(grid))
+def _symbol(grid: Grid, spec: MultiplierSpec, half: bool = False) -> np.ndarray:
+    """The symbol of spec on the grid's |k|, computed once per (grid, spec).
+
+    With `half`, only its k_z < n/2 half, contiguous, evaluated on that half
+    of |k|: the symbol is pointwise in |k|, so it is the full symbol's half
+    value for value.  `lebesgue_norm` reads halves, `sobolev_norm` and
+    `apply_multiplier` full symbols, so the meter's D^(1-m) symbols are never
+    built on the full grid.
+    """
+    kmag = _kmag(grid)
+    if half:
+        kmag = np.ascontiguousarray(kmag[..., :grid.n // 2])
+    out = spec.symbol(kmag)
     out.flags.writeable = False
     return out
 
@@ -414,9 +428,28 @@ def _forward(a: np.ndarray, axis: int, n: int, h: int, scratch: np.ndarray,
 _SLABS = 8
 
 
+# grid size n -> buffer role -> the one allocation of that role (`_buffer`)
+_BUFFERS: dict[int, dict[str, np.ndarray]] = {}
+
+
+def _buffer(n: int, role: str, shape: tuple, dtype) -> np.ndarray:
+    """A C-contiguous view of `shape` at the start of the one buffer of this
+    role for grids of n points.  The buffer grows to the largest view asked
+    for; when it grows, every cached workspace is dropped, so that no view
+    keeps the old allocation alive."""
+    size = math.prod(shape)
+    buffers = _BUFFERS.setdefault(n, {})
+    if role not in buffers or buffers[role].size < size:
+        buffers[role] = np.empty(size, dtype=dtype)
+        _workspace.cache_clear()
+    return buffers[role][:size].reshape(shape)
+
+
 class _Workspace:
-    """Reused buffers for the transforms between n and m points per axis, so
-    grids that differ only in box length share them: `_sample_slabs`,
+    """Views, for the transforms between n and m points per axis, of the one
+    set of buffers of grids of n points (`_buffer`): grids that differ only in
+    box length share them, and so do the passes of every m, since every
+    kernel finishes its pass before another starts.  `_sample_slabs`,
     `_fold_slab` and `_fold_half` take the workspace of their grid's n and
     their m as a required argument.  Only this module's kernels use them.
 
@@ -439,17 +472,17 @@ class _Workspace:
     In the (n, n) workspace, whose one slab is the whole grid, `sobolev_norm`
     holds the real and the imaginary parts of its product in `phys` and
     `work`; `work` still aliases `half`, which that norm does not read.
-    At n = 32 this is 1.0 MiB, and 1.1 MiB at m = 64.
+    At n = 32 the buffers of m = 32 and m = 64 together hold 1.27 MiB.
     """
 
     def __init__(self, n: int, m: int):
         h = n // 2
         planes = m // _SLABS if m > n else m
         self.slabs = [slice(i, i + planes) for i in range(0, m, planes)]
-        self.rows = np.empty((m, n, h), dtype=np.complex128)
-        self.pad = np.empty((planes, m, h), dtype=np.complex128)
-        self.phys = np.empty((planes, m, m))
-        flat = np.empty(planes * m * (m // 2 + 1), dtype=np.complex128)
+        self.rows = _buffer(n, "rows", (m, n, h), np.complex128)
+        self.pad = _buffer(n, "pad", (planes, m, h), np.complex128)
+        self.phys = _buffer(n, "phys", (planes, m, m), np.float64)
+        flat = _buffer(n, "flat", (planes * m * (m // 2 + 1),), np.complex128)
         self.spec = flat.reshape(planes, m, m // 2 + 1)
         self.mirror = flat[:n * n].reshape(n, n, 1)
         self.half = flat[:n * n * h].reshape(n, n, h)
@@ -458,7 +491,8 @@ class _Workspace:
 
 @lru_cache(maxsize=4)
 def _workspace(n: int, m: int) -> _Workspace:
-    """The reused workspace of (n, m), built once per process like `_symbol`."""
+    """The views of (n, m) into the buffers of n, made once per process like
+    `_symbol` (and again after a buffer grows)."""
     return _Workspace(n, m)
 
 
@@ -555,10 +589,11 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
 
     With multipliers the result is `lebesgue_norm(apply_multiplier(field,
     multipliers), r, oversample)` (and raises as it does), bit for bit, the
-    product's k_z < n/2 half held in the workspace's `half`; a power of order
-    0 is skipped, as in `sobolev_norm`.  The samples, |.|^r (`_power`, into the
-    samples' buffer) and the sums all run slab by slab; the slab sums are
-    added by one more `np.sum`, which gives numpy's pairwise sum of the whole.
+    product's k_z < n/2 half, formed with the symbols' contiguous halves, held
+    in the workspace's `half`; a power of order 0 is skipped, as in
+    `sobolev_norm`.  The samples, |.|^r (`_power`, into the samples' buffer)
+    and the sums all run slab by slab; the slab sums are added by one more
+    `np.sum`, which gives numpy's pairwise sum of the whole.
     """
     if not (1.0 <= r and math.isfinite(r)):
         raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
@@ -566,7 +601,7 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
     for spec in _norm_specs(field, multipliers):
-        sym = _symbol(grid, spec)[..., :h]
+        sym = _symbol(grid, spec, half=True)
         np.multiply(coeffs.real[..., :h], sym, out=ws.half.real)
         np.multiply(coeffs.imag[..., :h], sym, out=ws.half.imag)
         coeffs = ws.half

@@ -15,8 +15,10 @@ import pytest
 
 import nlwlab
 from nlwlab.fields import (
+    _BUFFERS,
     FieldError,
     Grid,
+    MultiplierSpec,
     _check_oversample,
     _clean,
     _complete,
@@ -263,8 +265,19 @@ class TestMultipliers:
         f = random_field(G3, 29)
         assert np.array_equal(apply_multiplier(f, spec).coeffs, f.coeffs * sym)
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_half_symbol_is_the_contiguous_half_of_the_full_one(self, n):
+        # `lebesgue_norm` reads these halves, built on the half |k|
+        grid = Grid(n=n, L=32.0)
+        specs = [power_multiplier(order) for order in (0.25, -0.25, 0.1375, 1.9, -1.0)]
+        for spec in specs + [smoothing_multiplier(4.0, 0.95), low_pass(4.0)]:
+            half = _symbol(grid, spec, half=True)
+            assert not half.flags.writeable and half.flags.c_contiguous
+            assert half.shape == (n, n, n // 2)
+            assert np.array_equal(half, _symbol(grid, spec)[..., :n // 2])
+        _symbol.cache_clear()  # the n = 64 symbols would hold 21 MiB
+
     def test_unknown_kind_rejected(self):
-        from nlwlab.fields import MultiplierSpec
         with pytest.raises(FieldError):
             apply_multiplier(random_field(G3, 1), MultiplierSpec(kind="bogus"))
         with pytest.raises(FieldError):
@@ -569,14 +582,28 @@ def workspace_arrays(ws):
     return [a for a in values if isinstance(a, np.ndarray)]
 
 
-def workspace_bytes(ws):
-    """Bytes of the distinct buffers of a workspace (`spec`, `work`, ... share
-    memory, and count once)."""
+def workspace_bytes(*workspaces):
+    """Bytes of the distinct buffers of some workspaces (`spec`, `work`, ...
+    and the views of every m of one n share memory, and count once)."""
     bases = {}
-    for a in workspace_arrays(ws):
+    for a in (a for ws in workspaces for a in workspace_arrays(ws)):
         base = a if a.base is None else a.base
         bases[id(base)] = base.nbytes
     return sum(bases.values())
+
+
+def fresh_workspaces():
+    """Drop every workspace buffer and view, as in a new process."""
+    _BUFFERS.clear()
+    _workspace.cache_clear()
+
+
+def factor_workspaces(n, factors):
+    """The workspaces of n at each factor, taken once every one of them has
+    been made: a view taken before a buffer grows keeps the old buffer."""
+    for k in factors:
+        _workspace(n, k * n)
+    return [_workspace(n, k * n) for k in factors]
 
 
 class TestWorkspaceMemory:
@@ -584,22 +611,44 @@ class TestWorkspaceMemory:
     holds no m^3 buffer and a kick or a quadrature allocates next to nothing."""
 
     def test_grids_of_one_size_share_a_workspace(self):
-        # the buffers depend on n and m alone: box lengths L, 2L and 4L (the
-        # rescaled grids of `scaling`) build one workspace per m
-        _workspace.cache_clear()
+        # the buffers depend on n alone: box lengths L, 2L and 4L (the
+        # rescaled grids of `scaling`) and factors 1 and 2 run in one set
+        fresh_workspaces()
         for L in (8.0, 16.0, 32.0):
             f = random_field(Grid(n=16, L=L), 49)
             to_physical(f)
             lebesgue_norm(f, 5.0, 2)
-        assert _workspace.cache_info().misses == 2
+        one, two = factor_workspaces(16, (1, 2))
+        for role in ("rows", "pad", "phys", "spec"):
+            assert np.shares_memory(getattr(one, role), getattr(two, role))
+        assert sorted(_BUFFERS) == [16] and len(_BUFFERS[16]) == 4
 
-    def test_oversampled_workspace_holds_at_most_2_mib(self):
-        assert workspace_bytes(_workspace(G32.n, 2 * G32.n)) <= 2 * 2 ** 20
+    def test_buffers_of_factors_1_and_2_are_shared_and_hold_at_most_1_3_mib(self):
+        # each buffer is as large as the larger m needs: 1.27 MiB at n = 32,
+        # against 1.02 + 1.13 MiB for a workspace of its own per m
+        fresh_workspaces()
+        one, two = factor_workspaces(G32.n, (1, 2))
+        for role in ("rows", "pad", "phys", "spec"):
+            assert np.shares_memory(getattr(one, role), getattr(two, role))
+        assert workspace_bytes(one, two) <= 1.3 * 2 ** 20
 
-    def test_workspace_holds_at_most_1_1_mib(self):
-        # the norms hold their products in the slab buffers, so a factor-1
-        # workspace is those buffers alone
-        assert workspace_bytes(_workspace(G32.n, G32.n)) <= 1.1 * 2 ** 20
+    def test_interleaved_factors_equal_fresh_calls(self):
+        # factor 3 grows the buffers of n, so the views of factors 1 and 2
+        # cached before it are dropped and made again after it
+        f = random_field(G3, 50, decay=1.0)
+        mults = (power_multiplier(-0.05), smoothing_multiplier(4.0, 0.95))
+        factors = (1, 2, 3, 2, 1)
+        fresh_workspaces()
+        got = [lebesgue_norm(f, r, k, mults) for k in factors for r in (5.0, 5.3)]
+        one, three = _workspace(G3.n, G3.n), _workspace(G3.n, 3 * G3.n)
+        assert np.shares_memory(one.rows, three.rows)  # made after the growth
+        want = []
+        for k in factors:
+            for r in (5.0, 5.3):
+                fresh_workspaces()
+                _symbol.cache_clear()
+                want.append(lebesgue_norm(f, r, k, mults))
+        assert got == want
 
     @staticmethod
     def traced_peak(fn):
@@ -633,12 +682,13 @@ class TestWorkspaceMemory:
     @pytest.mark.parametrize("factor,multipliers", [
         (1, (power_multiplier(-0.05), smoothing_multiplier(4.0, 0.95))),
         (2, (smoothing_multiplier(4.0, 0.95),))], ids=["1", "2"])
-    def test_quadrature_with_multipliers_allocates_under_192_kib(self, factor, multipliers):
-        # real-by-real products into `half` need no cast of the symbol; what
-        # remains are numpy's buffers for the strided k_z < n/2 views
+    def test_quadrature_with_multipliers_allocates_under_96_kib(self, factor, multipliers):
+        # real-by-real products into `half` need no cast of the symbol, and
+        # the symbols' halves are contiguous; what remains (65 KiB) are
+        # numpy's buffers for the strided real and imaginary parts
         f = random_field(G32, 45, decay=1.0)
         _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.3, factor, multipliers))
-        assert peak < 192 * 2 ** 10
+        assert peak < 96 * 2 ** 10
 
     def test_meter_builds_no_field(self):
         # each (cutoff, triple) norm multiplies u's half in a workspace
@@ -647,6 +697,23 @@ class TestWorkspaceMemory:
         state = WaveState(u=random_field(G32, 46, decay=1.0), v=random_field(G32, 47))
         _, peak = self.traced_peak(lambda: meter(state))
         assert peak < G32.num_points * 16
+
+    def test_meter_builds_no_full_grid_power_symbol(self, monkeypatch):
+        # the quadrature reads the D^(1-m) symbols as k_z < n/2 halves only
+        state = WaveState(u=random_field(G32, 46, decay=1.0), v=random_field(G32, 47))
+        meter = OrbitMeter((2.0, 4.0), 0.95, 4.0, reference_triples(PdeParams(p=4.0, s=0.95)))
+        built = []
+        symbol = MultiplierSpec.symbol
+
+        def spy(spec, kmag):
+            built.append((spec.kind, kmag.shape))
+            return symbol(spec, kmag)
+
+        monkeypatch.setattr(MultiplierSpec, "symbol", spy)
+        _symbol.cache_clear()
+        meter(state)
+        powers = [shape for kind, shape in built if kind == "power"]
+        assert powers and set(powers) == {(G32.n, G32.n, G32.n // 2)}
 
 
 class TestOversampleFactor:
@@ -679,9 +746,9 @@ class TestWorkspaceBoundary:
     package imports or names its workspace, slab, transform-step, power,
     reflection or completion helpers."""
 
-    SEALED = {"_workspace", "_Workspace", "_sample_slabs", "_fold_slab", "_fold_half",
-              "_power", "_symbol", "_complete", "_resize", "_forward", "_half_band",
-              "_conj_mirror", "_clean"}
+    SEALED = {"_workspace", "_Workspace", "_buffer", "_sample_slabs", "_fold_slab",
+              "_fold_half", "_power", "_symbol", "_complete", "_resize", "_forward",
+              "_half_band", "_conj_mirror", "_clean"}
 
     def test_every_sealed_name_is_defined_in_fields(self):
         # a name that fields no longer defines would guard nothing

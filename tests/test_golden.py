@@ -29,12 +29,18 @@ text `write_summary` writes), on both trees, and diff the two printouts:
 
 To show what a change does to memory, print the tracemalloc peak of one
 warm run of each shrunk experiment (one run after an untraced run of the
-same config, so the caches and workspaces already exist), on both trees:
+same config, so the caches and workspaces already exist), on both trees.
+Under each peak a second line gives the bytes the process keeps after that
+experiment's runs: the distinct workspace buffers and the arrays that the
+`_symbol`, `_rotation` and `_kmag` caches hold, with their entry counts.
+Every cache is emptied before each experiment, so each line is one
+experiment's alone:
 
     PYTHONPATH=src python tests/test_golden.py --peaks
 """
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -42,8 +48,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nlwlab import dynamics, fields
 from nlwlab.harness.config import build_config
 from nlwlab.harness.experiments import run_experiment
 from nlwlab.harness.records import rows_to_csv_text
@@ -217,6 +225,39 @@ def output_hashes(name: str) -> tuple[str, str]:
     return tuple(hashlib.sha256(t.encode("utf-8")).hexdigest() for t in texts)
 
 
+# the caches whose arrays `kept_bytes` counts, by the name it prints
+CACHES = {"_symbol": fields._symbol, "_rotation": dynamics._rotation, "_kmag": fields._kmag}
+
+
+def clear_caches() -> None:
+    """Empty the spectral caches and drop the workspace buffers."""
+    for cache in CACHES.values():
+        cache.cache_clear()
+    fields._BUFFERS.clear()
+    fields._workspace.cache_clear()
+
+
+def cached_results(cache) -> list:
+    """The results an `lru_cache` holds: on CPython, `gc.get_referents` of
+    the cache yields each entry's key and result, and only results are
+    arrays or tuples of arrays here."""
+    return [obj for obj in gc.get_referents(cache)
+            if isinstance(obj, np.ndarray)
+            or (isinstance(obj, tuple) and obj and isinstance(obj[0], np.ndarray))]
+
+
+def kept_bytes() -> dict:
+    """(bytes, entries) held now, by holder: "buffers", the workspace
+    buffers, and each of `CACHES`."""
+    buffers = [buf for held in fields._BUFFERS.values() for buf in held.values()]
+    kept = {"buffers": (sum(buf.nbytes for buf in buffers), len(buffers))}
+    for label, cache in CACHES.items():
+        results = cached_results(cache)
+        arrays = [a for r in results for a in (r if isinstance(r, tuple) else (r,))]
+        kept[label] = (sum(a.nbytes for a in arrays), len(results))
+    return kept
+
+
 def warm_peak(name: str) -> int:
     """Tracemalloc peak, in bytes, of one serial run of a shrunk experiment
     after an untraced one."""
@@ -236,8 +277,14 @@ if __name__ == "__main__":
             for digest, suffix in zip(output_hashes(name), (".csv", "_summary.json")):
                 print(f"{digest}  {name}{suffix}")
     elif sys.argv[1:] == ["--peaks"]:
+        mib = 2 ** 20
         for name in sorted(SHRUNK):
-            print(f"{warm_peak(name) / 2 ** 20:8.3f} MiB  {name}")
+            clear_caches()
+            print(f"{warm_peak(name) / mib:8.3f} MiB  {name}")
+            kept = kept_bytes()
+            total = sum(size for size, _ in kept.values())
+            print(f"          kept {total / mib:.3f} MiB: " + ", ".join(
+                f"{label} {size / mib:.3f} in {count}" for label, (size, count) in kept.items()))
     elif sys.argv[1:] == ["--write"]:
         for path, build in ((GOLDEN, numeric_columns),
                             (GOLDEN_SUMMARIES, summary_values)):
