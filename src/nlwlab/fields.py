@@ -45,13 +45,12 @@ together, against 5.6 MiB for whole m^3 buffers at m = 64 alone.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
-half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Both
-norms multiply by each symbol alike, the real parts into one real workspace
-buffer and the imaginary parts into another: for finite values that is
-`apply_multiplier`'s product up to the sign of a zero, which no norm reads,
-with no cast buffer.  `lebesgue_norm` multiplies the k_z < n/2 half by
-each symbol's contiguous half (`_symbol(..., half=True)`), which is all it
-reads of a symbol; `sobolev_norm` reads full symbols.  A quadrature with
+half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Every
+kernel reads the k_z < n/2 half, and `_symbol` caches each symbol as that
+contiguous half only.  Both norms multiply the half by each symbol alike,
+the real parts into one real workspace buffer and the imaginary parts into
+another: for finite values that is `apply_multiplier`'s product up to the
+sign of a zero, which no norm reads, with no cast buffer.  A quadrature with
 no multiplier allocates nothing but its eight slab sums, and `sobolev_norm`
 nothing at all.
 `to_physical` copies its samples out of the (n, n) workspace, and
@@ -293,19 +292,13 @@ class MultiplierSpec:
 
 
 @lru_cache(maxsize=64)
-def _symbol(grid: Grid, spec: MultiplierSpec, half: bool = False) -> np.ndarray:
-    """The symbol of spec on the grid's |k|, computed once per (grid, spec).
-
-    With `half`, only its k_z < n/2 half, contiguous, evaluated on that half
-    of |k|: the symbol is pointwise in |k|, so it is the full symbol's half
-    value for value.  `lebesgue_norm` reads halves, `sobolev_norm` and
-    `apply_multiplier` full symbols, so the meter's D^(1-m) symbols are never
-    built on the full grid.
+def _symbol(grid: Grid, spec: MultiplierSpec) -> np.ndarray:
+    """The symbol of spec on the k_z < n/2 half of the grid's |k|, contiguous,
+    computed once per (grid, spec).  The symbol is pointwise in |k|, so this
+    is the full-grid symbol's half value for value, and the half is all that
+    any kernel reads: no symbol is built on the full grid.
     """
-    kmag = _kmag(grid)
-    if half:
-        kmag = np.ascontiguousarray(kmag[..., :grid.n // 2])
-    out = spec.symbol(kmag)
+    out = spec.symbol(np.ascontiguousarray(_kmag(grid)[..., :grid.n // 2]))
     out.flags.writeable = False
     return out
 
@@ -326,15 +319,15 @@ def low_pass(cutoff: float) -> MultiplierSpec:
 
 
 def apply_multiplier(field: SpectralField, spec) -> SpectralField:
-    """Multiply coefficients by one radial symbol or a sequence of them.
-
-    A negative-order power multiplier demands a clean zero mode; the field
-    conventions guarantee it, and a violation (hand-built coefficients) raises.
-    """
-    out = field.coeffs
+    """Multiply coefficients by one radial symbol or a sequence of them (the
+    k_z < n/2 half, completed by `_from_half`: the full product up to the
+    sign of a zero).  A negative-order power multiplier demands a clean zero
+    mode; the field conventions guarantee it, and a violation (hand-built
+    coefficients) raises."""
+    out = field.coeffs[..., :field.grid.n // 2]
     for sp in _checked_specs(field, spec):
         out = out * _symbol(field.grid, sp)
-    return _make(field.grid, np.ascontiguousarray(out))
+    return _from_half(field.grid, out)
 
 
 def _checked_specs(field: SpectralField, spec) -> tuple:
@@ -368,21 +361,26 @@ def sobolev_norm(field: SpectralField, sigma: float, multipliers=()) -> float:
     and negative orders are undefined there).  With multipliers the result is
     `sobolev_norm(apply_multiplier(field, multipliers), sigma)` (and raises
     as it does), bit for bit for finite coefficients; a power of order 0 is
-    skipped.  It allocates nothing: the product's real and imaginary parts
-    (see the module docstring) are held in the (n, n) workspace's `phys` and
-    `work` and squared there.
+    skipped.  The sum is 2 sum_half - sum_(k_z = 0 plane) over the k_z < n/2
+    half, which relies on the field conventions: exact Hermitian symmetry and
+    an empty k_z = n/2 plane.  It allocates nothing: the half's real and
+    imaginary parts are copied into the (n, n) workspace (see `_Workspace`)
+    and multiplied, squared and weighted there.
     """
-    grid, re, im = field.grid, field.coeffs.real, field.coeffs.imag
-    ws = _workspace(grid.n, grid.n)
+    grid, n, h = field.grid, field.grid.n, field.grid.n // 2
+    ws = _workspace(n, n)
+    re, im = (buf[:h].reshape(n, n, h) for buf in (ws.phys, ws.work))
+    np.copyto(re, field.coeffs.real[..., :h])
+    np.copyto(im, field.coeffs.imag[..., :h])
     for spec in _norm_specs(field, multipliers):
         sym = _symbol(grid, spec)
-        re = np.multiply(re, sym, out=ws.phys)
-        im = np.multiply(im, sym, out=ws.work)
-    power = np.multiply(re, re, out=ws.phys)
-    power += np.multiply(im, im, out=ws.work)
+        re *= sym
+        im *= sym
+    re *= re
+    re += np.multiply(im, im, out=im)
     if sigma != 0.0:
-        power *= _symbol(grid, power_multiplier(2.0 * sigma))
-    return math.sqrt(grid.L ** grid.dim * float(np.sum(power)))
+        re *= _symbol(grid, power_multiplier(2.0 * sigma))
+    return math.sqrt(grid.L ** grid.dim * float(2.0 * np.sum(re) - np.sum(re[..., 0])))
 
 
 def _resize(a: np.ndarray, axis: int, size: int, h: int, out: np.ndarray) -> np.ndarray:
@@ -470,8 +468,8 @@ class _Workspace:
       `_sample_slabs` has read into `rows` before `work` is written.
 
     In the (n, n) workspace, whose one slab is the whole grid, `sobolev_norm`
-    holds the real and the imaginary parts of its product in `phys` and
-    `work`; `work` still aliases `half`, which that norm does not read.
+    holds its product's k_z < n/2 real and imaginary parts in (n, n, n/2)
+    views of `phys` and `work`; `work` aliases `half`, which it does not read.
     At n = 32 the buffers of m = 32 and m = 64 together hold 1.27 MiB.
     """
 
@@ -601,7 +599,7 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
     for spec in _norm_specs(field, multipliers):
-        sym = _symbol(grid, spec, half=True)
+        sym = _symbol(grid, spec)
         np.multiply(coeffs.real[..., :h], sym, out=ws.half.real)
         np.multiply(coeffs.imag[..., :h], sym, out=ws.half.imag)
         coeffs = ws.half

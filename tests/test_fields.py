@@ -23,6 +23,7 @@ from nlwlab.fields import (
     _clean,
     _complete,
     _half_band,
+    _kmag,
     _power,
     _resize,
     _sample_slabs,
@@ -263,19 +264,46 @@ class TestMultipliers:
         assert sym is _symbol(G3, smoothing_multiplier(0.5, 0.9))
         assert not sym.flags.writeable
         f = random_field(G3, 29)
-        assert np.array_equal(apply_multiplier(f, spec).coeffs, f.coeffs * sym)
+        assert np.array_equal(apply_multiplier(f, spec).coeffs,
+                              f.coeffs * spec.symbol(_kmag(G3)))
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_half_symbol_is_the_contiguous_half_of_the_full_one(self, n):
-        # `lebesgue_norm` reads these halves, built on the half |k|
+        # every kernel reads these halves, built on the half |k|
         grid = Grid(n=n, L=32.0)
         specs = [power_multiplier(order) for order in (0.25, -0.25, 0.1375, 1.9, -1.0)]
         for spec in specs + [smoothing_multiplier(4.0, 0.95), low_pass(4.0)]:
-            half = _symbol(grid, spec, half=True)
+            half = _symbol(grid, spec)
             assert not half.flags.writeable and half.flags.c_contiguous
             assert half.shape == (n, n, n // 2)
-            assert np.array_equal(half, _symbol(grid, spec)[..., :n // 2])
-        _symbol.cache_clear()  # the n = 64 symbols would hold 21 MiB
+            assert np.array_equal(half, spec.symbol(_kmag(grid))[..., :n // 2])
+        _symbol.cache_clear()  # the n = 64 symbols would hold 7 MiB
+
+    def test_no_kernel_evaluates_a_symbol_on_the_full_grid(self, monkeypatch):
+        # every |k| a symbol is evaluated on is the k_z < n/2 half
+        n = G32.n
+        state = WaveState(u=random_field(G32, 46, decay=1.0), v=random_field(G32, 47))
+        params = PdeParams(p=4.0, s=0.95)
+        meter = OrbitMeter((2.0, 4.0), 0.95, 4.0, reference_triples(params),
+                           energies=True)
+        smoother = smoothing_multiplier(4.0, 0.95)
+        shapes = []
+        symbol = MultiplierSpec.symbol
+
+        def spy(spec, kmag):
+            shapes.append(kmag.shape)
+            return symbol(spec, kmag)
+
+        monkeypatch.setattr(MultiplierSpec, "symbol", spy)
+        _symbol.cache_clear()
+        sobolev_norm(state.u, 0.95)
+        sobolev_norm(state.u, 1.0, (smoother,))
+        lebesgue_norm(state.u, 5.3, 1, (power_multiplier(-0.05), smoother))
+        apply_multiplier(state.u, (power_multiplier(-0.3), smoother))
+        smoothed_energy(state, 4.0, params.s, params.p)
+        true_energy(state, params.p)
+        meter(state)
+        assert shapes and set(shapes) == {(n, n, n // 2)}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FieldError):
@@ -329,6 +357,23 @@ def sobolev_oracle(field, sigma):
                      * float(np.sum((c.real * c.real + c.imag * c.imag) * weight)))
 
 
+def half_sobolev_oracle(field, sigma):
+    """The same sum over the k_z < n/2 half, with |k| built here from the
+    axis wavenumbers (k_z from the first n/2) and Hermitian weights: a k_z > 0
+    mode stands for itself and its k_z < 0 mirror, weight 2, and the k_z = 0
+    plane, its own mirror, weight 1, so sum = 2 sum_half - sum_(k_z = 0)."""
+    grid, h = field.grid, field.grid.n // 2
+    c = field.coeffs[..., :h]
+    ax = grid.axis_wavenumbers()
+    kx, ky, kz = np.meshgrid(ax, ax, ax[:h], indexing="ij")
+    kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
+    weight = np.where(kmag > 0.0, kmag, 1.0) ** (2.0 * sigma)
+    weight[kmag == 0.0] = 0.0
+    power = (c.real * c.real + c.imag * c.imag) * weight
+    return math.sqrt(grid.L ** grid.dim
+                     * float(2.0 * np.sum(power) - np.sum(power[..., 0])))
+
+
 class TestSobolevNorm:
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_equals_oracle_bit_for_bit(self, grid):
@@ -336,7 +381,9 @@ class TestSobolevNorm:
         for seed in range(3):
             f = random_field(grid, seed, decay=1.5)
             for sigma in (0.0, 1.0, s, s - 1.0):
-                assert sobolev_norm(f, sigma) == sobolev_oracle(f, sigma)
+                norm = sobolev_norm(f, sigma)
+                assert norm == half_sobolev_oracle(f, sigma)
+                assert abs(norm - sobolev_oracle(f, sigma)) <= 1e-14 * norm
 
     @pytest.mark.parametrize("multipliers", [
         (smoothing_multiplier(0.7, 0.95),),

@@ -27,6 +27,13 @@ text `write_summary` writes), on both trees, and diff the two printouts:
 
     PYTHONPATH=src python tests/test_golden.py --hashes
 
+A change that moves bits reports its margin: print, per experiment and
+column, the largest relative deviation from `golden_values.json` and its row
+(columns under `ROUNDOFF_FLOOR`, compared against their absolute floor, are
+marked; a deviation over the tolerance is marked too):
+
+    PYTHONPATH=src python tests/test_golden.py --deviations
+
 To show what a change does to memory, print the tracemalloc peak of one
 warm run of each shrunk experiment (one run after an untraced run of the
 same config, so the caches and workspaces already exist), on both trees.
@@ -155,6 +162,24 @@ def _mismatches(name: str, got: dict, want: dict) -> list:
     return out
 
 
+def column_deviations(got: dict, want: dict) -> dict:
+    """column -> (largest relative deviation |a - b| / |b|, its row) of one
+    experiment's numeric columns against the golden ones, for the columns of
+    both.  Blank cells and equal values deviate by 0; a NaN deviation, or a
+    nonzero value against a golden 0, counts as the largest."""
+    out = {}
+    for col in want.keys() & got.keys():
+        worst = (0.0, None)
+        for i, (a, b) in enumerate(zip(got[col], want[col])):
+            if a is None or b is None or a == b:
+                continue
+            dev = abs(a - b) / abs(b) if b else math.inf
+            if not dev <= worst[0]:
+                worst = (dev, i)
+        out[col] = worst
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -213,6 +238,22 @@ def test_mismatch_detects_a_relative_change():
     assert _mismatches("acl", {"x": [1.0, math.nan]}, want)
     assert _mismatches("acl", {"x": [1.0, None]}, want)
     assert _mismatches("acl", {"y": [1.0, 2.0]}, want)
+
+
+def test_deviations_read_zero_against_itself_and_flag_a_change(golden):
+    for cols in golden.values():
+        assert all(dev == 0.0 for dev, _ in column_deviations(cols, cols).values())
+    want = golden["acl"]
+    row = next(i for i, v in enumerate(want["drift"]) if v)
+    got = json.loads(json.dumps(want))
+    got["drift"][row] *= 1.0 + 2e-9
+    devs = column_deviations(got, want)
+    dev, at = devs.pop("drift")
+    assert at == row and RTOL < dev == pytest.approx(2e-9, rel=1e-3)
+    assert all(d == 0.0 for d, _ in devs.values())
+    got["drift"][row] = math.nan
+    dev, at = column_deviations(got, want)["drift"]
+    assert math.isnan(dev) and at == row
 
 
 def output_hashes(name: str) -> tuple[str, str]:
@@ -285,6 +326,19 @@ if __name__ == "__main__":
             total = sum(size for size, _ in kept.values())
             print(f"          kept {total / mib:.3f} MiB: " + ", ".join(
                 f"{label} {size / mib:.3f} in {count}" for label, (size, count) in kept.items()))
+    elif sys.argv[1:] == ["--deviations"]:
+        golden_values = json.loads(GOLDEN.read_text())
+        for name in sorted(SHRUNK):
+            print(name)
+            devs = column_deviations(numeric_columns(name), golden_values[name])
+            floors = ROUNDOFF_FLOOR.get(name, {})
+            for col, (dev, row) in sorted(devs.items()):
+                line = f"  {dev:9.3g}  {col}" + ("" if row is None else f"[{row}]")
+                if col in floors:
+                    line += f"  (roundoff floor {floors[col]:g})"
+                elif not dev <= RTOL:
+                    line += f"  (over rtol {RTOL:g})"
+                print(line)
     elif sys.argv[1:] == ["--write"]:
         for path, build in ((GOLDEN, numeric_columns),
                             (GOLDEN_SUMMARIES, summary_values)):
@@ -293,4 +347,4 @@ if __name__ == "__main__":
             print(f"wrote {path}")
     else:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
-                 "--write | --hashes | --peaks")
+                 "--write | --hashes | --peaks | --deviations")
