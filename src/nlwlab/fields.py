@@ -19,13 +19,18 @@ half shares, is replaced by its Hermitian part, and the mean and the Nyquist
 planes are zeroed.  `_complete` rebuilds the full fftn layout from such a
 half by Hermitian reflection, and `from_physical` is the two in turn.
 `_conj_mirror` writes every k -> -k reflection, `from_coeffs`'s too.  Both
-transforms run numpy's per-axis irfftn/rfftn steps in numpy's axis order,
-pruned to skip the columns that are all zero padding (or are truncated
-away), so their results are bit for bit those of the unpruned transforms.
-Every field is exactly Hermitian, so its half holds all of it; the
-integrator (`dynamics.evolve`) carries only halves between samples, and the
-exact free-wave propagator (`dynamics.propagate_linear`) rotates only the
-half.
+transforms run in numpy's irfftn/rfftn axis order, pruned to skip the
+columns that are all zero padding (or are truncated away).  The two leading
+axes run numpy's FFTs.  The last axis, n/2 resolved k_z against m real
+samples, is one real matrix product per slab with the matrices of
+`_dft_matrices` (numpy's `matmul`, so OpenBLAS): such a small, heavily
+pruned transform runs faster as a dense product than as pocketfft's rfft.
+The results are bit for bit those of the unpruned transforms with the same
+last-axis product, and within a few float64 roundings of numpy's
+irfftn/rfftn.  Every field is exactly Hermitian, so its half holds all of
+it; the integrator (`dynamics.evolve`) carries only halves between samples,
+and the exact free-wave propagator (`dynamics.propagate_linear`) rotates
+only the half.
 
 Every transform runs in a workspace, `_workspace(n, m)` for its grid's n
 and its m-point samples: views into one set of buffers per n, built once per
@@ -40,19 +45,19 @@ kick, transformed back into its own rows of that buffer (`_fold_slab`); the
 axis-0 forward transform runs once more at the end (`_fold_half`).  A pass
 at m = n is one slab.  Every per-row transform is the one the
 whole-array pass runs, so the results are the same bits, and no workspace
-holds an m^3 array: the buffers of n = 32 hold 1.27 MiB for m = 32 and 64
+holds an m^3 array: the buffers of n = 32 hold 1.25 MiB for m = 32 and 64
 together, against 5.6 MiB for whole m^3 buffers at m = 64 alone.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
 half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Every
 kernel reads the k_z < n/2 half, and `_symbol` caches each symbol as that
-contiguous half only.  Both norms multiply the half by each symbol alike,
-the real parts into one real workspace buffer and the imaginary parts into
-another: for finite values that is `apply_multiplier`'s product up to the
-sign of a zero, which no norm reads, with no cast buffer.  A quadrature with
-no multiplier allocates nothing but its eight slab sums, and `sobolev_norm`
-nothing at all.
+contiguous half only.  Every product multiplies the half's real parts and
+its imaginary parts by each symbol alike, in contiguous workspace buffers:
+for finite values that is the complex product up to the sign of a zero,
+with no cast and no ufunc buffer.  A quadrature allocates nothing but its
+eight slab sums, `sobolev_norm` nothing at all, and `apply_multiplier`
+only the field it returns.
 `to_physical` copies its samples out of the (n, n) workspace, and
 `from_physical` returns a new array of coefficients, so no public function
 returns a workspace buffer.
@@ -65,9 +70,11 @@ uniform-grid quadrature of |u|^r.
 Pointwise powers, |u|^r in the quadrature and |u|^(p-1) u in the kick, go
 through one helper, `_power`, in place in the workspace's slab buffers
 `phys` and `work`.  A whole exponent (r = 5 and p = 4 at the defaults) is a
-fixed chain of IEEE products, square-and-multiply, so its bits are the same
-on every machine; any other exponent runs `np.power`, whose bits follow the
-pow kernel numpy dispatches.
+fixed chain of IEEE products, square-and-multiply, so it adds no
+machine-dependent step; any other exponent runs `np.power`, whose bits
+follow the pow kernel numpy dispatches.  The samples it powers follow the
+matrix-product kernel of the BLAS numpy loads, so results are pinned bit for
+bit on one machine and numpy build only.
 """
 
 from __future__ import annotations
@@ -320,14 +327,38 @@ def low_pass(cutoff: float) -> MultiplierSpec:
 
 def apply_multiplier(field: SpectralField, spec) -> SpectralField:
     """Multiply coefficients by one radial symbol or a sequence of them (the
-    k_z < n/2 half, completed by `_from_half`: the full product up to the
-    sign of a zero).  A negative-order power multiplier demands a clean zero
-    mode; the field conventions guarantee it, and a violation (hand-built
-    coefficients) raises."""
-    out = field.coeffs[..., :field.grid.n // 2]
-    for sp in _checked_specs(field, spec):
-        out = out * _symbol(field.grid, sp)
-    return _from_half(field.grid, out)
+    full product up to the sign of a zero).  A negative-order power
+    multiplier demands a clean zero mode; the field conventions guarantee
+    it, and a violation (hand-built coefficients) raises.
+
+    The result is the only new array.  The k_z < n/2 half is multiplied in
+    the (n, n) workspace's `half` (`_multiplied_half`, as in
+    `lebesgue_norm`) and copied into the result's k_z < n/2 columns; the
+    workspace copy is then conjugated in place and reflected into k_z > n/2
+    by plain copies, so that no numpy ufunc runs on a strided view, where it
+    would need a buffer."""
+    grid, h = field.grid, field.grid.n // 2
+    half = _multiplied_half(field, _checked_specs(field, spec), _workspace(grid.n, grid.n).half)
+    out = np.empty(grid.shape, dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h] = 0.0
+    _conj_mirror(np.conjugate(half, out=half)[..., 1:], out[..., :h:-1], conjugate=False)
+    return _make(grid, out)
+
+
+def _multiplied_half(field: SpectralField, specs: tuple, half: np.ndarray) -> np.ndarray:
+    """half <- the field's k_z < n/2 half times the specs' symbols, returned.
+
+    The half is copied in, and each contiguous symbol half multiplies its
+    real parts and its imaginary parts alike, in place: for finite values
+    the complex product up to the sign of a zero, with no cast and, on the
+    contiguous `half` of a workspace, no ufunc buffer."""
+    np.copyto(half, field.coeffs[..., :field.grid.n // 2])
+    for spec in specs:
+        sym = _symbol(field.grid, spec)
+        half.real *= sym
+        half.imag *= sym
+    return half
 
 
 def _checked_specs(field: SpectralField, spec) -> tuple:
@@ -399,15 +430,21 @@ def _resize(a: np.ndarray, axis: int, size: int, h: int, out: np.ndarray) -> np.
     return out
 
 
-def _conj_mirror(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _conj_mirror(c: np.ndarray, out: np.ndarray, conjugate: bool = True) -> np.ndarray:
     """out <- conj(c at -k) on the leading axes; the last axis maps straight across.
 
-    Per leading axis, index 0 stays and 1..n-1 run backwards.
+    Per leading axis, index 0 stays and 1..n-1 run backwards.  With
+    `conjugate` False the reflection is plain copies, for a c that is
+    already conjugated.
     """
     n = c.shape[0]
     pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1)))
     for combo in itertools.product(pairs, repeat=c.ndim - 1):
-        np.conjugate(c[tuple(s for _, s in combo)], out=out[tuple(d for d, _ in combo)])
+        src, dst = c[tuple(s for _, s in combo)], out[tuple(d for d, _ in combo)]
+        if conjugate:
+            np.conjugate(src, out=dst)
+        else:
+            np.copyto(dst, src)
     return out
 
 
@@ -457,20 +494,21 @@ class _Workspace:
     * `rows` holds the spectrum with m k_x rows, n k_y and the n/2 resolved
       k_z: the axis-0 inverse writes it whole, each slab's axis-1 inverse
       reads the slab's rows and its forward steps write them back;
-    * `pad` holds one slab's spectrum, m k_y rows, while axis 1 is
-      transformed;
+    * `pad` holds one slab's spectrum, m k_y rows and n/2 k_z, while axis 1
+      is transformed; the last-axis product reads it as (re, im) pairs;
     * `phys` holds one slab's m-point samples (the kick and the quadrature
       then write their `_power` into it);
     * `work` is real slab scratch for `_power`.  Its memory also holds the
-      slab's rfft output `spec`, the k -> -k `mirror` of the k_z = 0 plane,
-      which `_fold_half` writes once every slab is in, and `half`, the
-      multiplied k_z < n/2 coefficients of `lebesgue_norm`, which
+      slab's last-axis product `spec`, the n/2 resolved k_z of each of its
+      rows (the same size as `pad`), the k -> -k `mirror` of the k_z = 0
+      plane, which `_fold_half` writes once every slab is in, and `half`,
+      the multiplied k_z < n/2 coefficients of `lebesgue_norm`, which
       `_sample_slabs` has read into `rows` before `work` is written.
 
     In the (n, n) workspace, whose one slab is the whole grid, `sobolev_norm`
     holds its product's k_z < n/2 real and imaginary parts in (n, n, n/2)
     views of `phys` and `work`; `work` aliases `half`, which it does not read.
-    At n = 32 the buffers of m = 32 and m = 64 together hold 1.27 MiB.
+    At n = 32 the buffers of m = 32 and m = 64 together hold 1.25 MiB.
     """
 
     def __init__(self, n: int, m: int):
@@ -480,11 +518,11 @@ class _Workspace:
         self.rows = _buffer(n, "rows", (m, n, h), np.complex128)
         self.pad = _buffer(n, "pad", (planes, m, h), np.complex128)
         self.phys = _buffer(n, "phys", (planes, m, m), np.float64)
-        flat = _buffer(n, "flat", (planes * m * (m // 2 + 1),), np.complex128)
-        self.spec = flat.reshape(planes, m, m // 2 + 1)
+        flat = _buffer(n, "flat", (planes * m * m // 2,), np.complex128)
+        self.spec = flat[:planes * m * h].reshape(planes, m, h)
         self.mirror = flat[:n * n].reshape(n, n, 1)
         self.half = flat[:n * n * h].reshape(n, n, h)
-        self.work = flat.view(np.float64)[:planes * m * m].reshape(planes, m, m)
+        self.work = flat.view(np.float64).reshape(planes, m, m)
 
 
 @lru_cache(maxsize=4)
@@ -494,33 +532,69 @@ def _workspace(n: int, m: int) -> _Workspace:
     return _Workspace(n, m)
 
 
+@lru_cache(maxsize=8)
+def _dft_matrices(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The last-axis transforms between the n/2 resolved k_z and m real
+    samples, as two read-only real matrices, made once per (n, m).
+
+    With phase 2 pi ((j k) mod m) / m for sample j and mode k < n/2, the
+    inverse (n, m) maps each row's (re, im) pairs to its samples: k = 0
+    weighs 1, and its imaginary part meets sin 0 = 0, so that it is ignored
+    as irfft ignores it; every other k weighs 2, since its k -> -k partner
+    is its conjugate.  The
+    forward (m, n) maps samples to the (re, im) pairs of their first n/2
+    rfft coefficients, normalized by 1/m.
+    """
+    h = n // 2
+    phase = 2.0 * np.pi * (np.outer(np.arange(h), np.arange(m)) % m) / m
+    weight = np.full((h, 1), 2.0)
+    weight[0] = 1.0
+    inverse = np.empty((n, m))
+    inverse[0::2] = weight * np.cos(phase)
+    inverse[1::2] = -weight * np.sin(phase)
+    forward = np.empty((m, n))
+    forward[:, 0::2] = np.cos(phase).T / m
+    forward[:, 1::2] = -np.sin(phase).T / m
+    inverse.flags.writeable = False
+    forward.flags.writeable = False
+    return inverse, forward
+
+
 def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
     """Real values of the coefficients on the m-point grid (m a multiple of
     n), one slab at a time: yields (rows, samples) per slab of `ws.slabs`.
 
-    The steps and axis order of irfftn, pruned: each leading axis is padded to
-    m just before its own inverse transform, so no transform runs over columns
-    that are all padding.  Axis 0 is transformed once, whole, into `ws.rows`;
-    then each slab's rows go through axis 1 into `ws.pad` and the last axis
-    into `ws.phys`.  The last axis goes in as its n/2 resolved k_z, which
-    irfft zero-fills to m/2 + 1 itself.  A slab's samples live until the next
-    slab is made, and its rows of `ws.rows` are free for `_fold_slab`.
+    The axis order of irfftn, pruned: each leading axis is padded to m just
+    before its own inverse transform, so no transform runs over columns that
+    are all padding.  Axis 0 is transformed once, whole, into `ws.rows`;
+    then each slab's rows go through axis 1 into `ws.pad`, and the last axis,
+    its n/2 resolved k_z read as (re, im) pairs, is one matrix product with
+    `_dft_matrices`' inverse into `ws.phys`.  A slab's samples live until the
+    next slab is made, and its rows of `ws.rows` are free for `_fold_slab`.
+
+    The product is stacked, so numpy makes one BLAS call per x-plane, an
+    (m, n) by (n, m) product.  At n = 32 each stays below the size at which
+    OpenBLAS splits a product over threads; one product over the whole slab
+    would not, and then waits for a second core whenever the machine is
+    busy.
     """
-    h = grid.n // 2
+    n, h = grid.n, grid.n // 2
+    inverse = _dft_matrices(n, m)[0]
     a = np.fft.ifft(_resize(coeffs[..., :h], 0, m, h, ws.rows), axis=0, norm="forward",
                     out=ws.rows)
     for rows in ws.slabs:
         b = np.fft.ifft(_resize(a[rows], 1, m, h, ws.pad), axis=1, norm="forward", out=ws.pad)
-        yield rows, np.fft.irfft(b, n=m, axis=-1, norm="forward", out=ws.phys)
+        yield rows, np.matmul(b.view(np.float64), inverse, out=ws.phys)
 
 
 def _fold_slab(grid: Grid, samples: np.ndarray, rows: slice, ws: _Workspace) -> None:
-    """The forward steps of one slab of m-point samples: rfft into `ws.spec`,
-    kept to its n/2 resolved k_z, then the axis-1 transform, truncated to n
-    into the slab's rows of `ws.rows`."""
-    h = grid.n // 2
-    a = np.fft.rfft(samples, axis=-1, norm="forward", out=ws.spec)[..., :h]
-    _forward(a, 1, grid.n, h, ws.pad, ws.rows[rows])
+    """The forward steps of one slab of m-point samples: the last axis is one
+    matrix product with `_dft_matrices`' forward into `ws.spec`, the slab's
+    n/2 resolved k_z as (re, im) pairs, then the axis-1 transform, truncated
+    to n into the slab's rows of `ws.rows`."""
+    n, m = grid.n, samples.shape[-1]
+    np.matmul(samples, _dft_matrices(n, m)[1], out=ws.spec.view(np.float64))
+    _forward(ws.spec, 1, n, n // 2, ws.pad, ws.rows[rows])
 
 
 def _fold_half(grid: Grid, ws: _Workspace) -> np.ndarray:
@@ -586,23 +660,21 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     forms |u|^r by products (`_power`), any other r by `np.power`.
 
     With multipliers the result is `lebesgue_norm(apply_multiplier(field,
-    multipliers), r, oversample)` (and raises as it does), bit for bit, the
-    product's k_z < n/2 half, formed with the symbols' contiguous halves, held
-    in the workspace's `half`; a power of order 0 is skipped, as in
-    `sobolev_norm`.  The samples, |.|^r (`_power`, into the samples' buffer)
-    and the sums all run slab by slab; the slab sums are added by one more
-    `np.sum`, which gives numpy's pairwise sum of the whole.
+    multipliers), r, oversample)` (and raises as it does), bit for bit: the
+    product's k_z < n/2 half is formed in the workspace's `half` as
+    `apply_multiplier` forms it (`_multiplied_half`); a power of order 0 is
+    skipped, as in `sobolev_norm`.  The samples, |.|^r (`_power`, into the
+    samples' buffer) and the sums all run slab by slab; the slab sums are
+    added by one more `np.sum`, which gives numpy's pairwise sum of the
+    whole.
     """
     if not (1.0 <= r and math.isfinite(r)):
         raise FieldError(f"Lebesgue exponent must satisfy 1 <= r < inf, got {r}")
-    grid, coeffs, h = field.grid, field.coeffs, field.grid.n // 2
+    grid = field.grid
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
-    for spec in _norm_specs(field, multipliers):
-        sym = _symbol(grid, spec)
-        np.multiply(coeffs.real[..., :h], sym, out=ws.half.real)
-        np.multiply(coeffs.imag[..., :h], sym, out=ws.half.imag)
-        coeffs = ws.half
+    specs = _norm_specs(field, multipliers)
+    coeffs = _multiplied_half(field, specs, ws.half) if specs else field.coeffs
     sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
             for _, samples in _sample_slabs(grid, coeffs, m, ws)]
     return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)
@@ -616,9 +688,11 @@ def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:
     a set bit multiplies out by w (without `times`, the first set bit copies
     w into out, and e = 0 fills it with 1), then w is squared for the next
     bit.  So the p = 4 kick is `out *= w; w *= w; out *= w` and |s|^5 is
-    w * ((w * w) * (w * w)): IEEE products, the same bits on every machine.
-    Any other e runs `np.power`, as `np.power(w, e, out=out)` or as
-    `out *= np.power(w, e, out=w)`, whose bits follow numpy's pow kernel.
+    w * ((w * w) * (w * w)): IEEE products, the same bits from the same
+    samples on every machine (the samples' own bits follow numpy's BLAS
+    kernel, `_sample_slabs`).  Any other e runs `np.power`, as
+    `np.power(w, e, out=out)` or as `out *= np.power(w, e, out=w)`, whose
+    bits follow numpy's pow kernel.
     """
     if not (e >= 0 and float(e).is_integer()):
         if times:

@@ -22,6 +22,7 @@ from nlwlab.fields import (
     _check_oversample,
     _clean,
     _complete,
+    _dft_matrices,
     _half_band,
     _kmag,
     _power,
@@ -304,6 +305,20 @@ class TestMultipliers:
         true_energy(state, params.p)
         meter(state)
         assert shapes and set(shapes) == {(n, n, n // 2)}
+
+    @pytest.mark.parametrize("multipliers", [
+        (), (smoothing_multiplier(0.7, 0.95),),
+        (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["none", "one", "two"])
+    def test_product_is_the_complex_product_of_the_half(self, multipliers):
+        # each symbol multiplies the real and the imaginary parts alike,
+        # which is the complex product c * (s + 0j) up to the sign of a zero
+        for grid in (G3, G32):
+            f = random_field(grid, 60, decay=1.0)
+            half = f.coeffs[..., :grid.n // 2]
+            for sp in multipliers:
+                half = half * _symbol(grid, sp)
+            assert np.array_equal(apply_multiplier(f, multipliers).coeffs,
+                                  _complete(grid, half))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FieldError):
@@ -730,12 +745,23 @@ class TestWorkspaceMemory:
         (1, (power_multiplier(-0.05), smoothing_multiplier(4.0, 0.95))),
         (2, (smoothing_multiplier(4.0, 0.95),))], ids=["1", "2"])
     def test_quadrature_with_multipliers_allocates_under_96_kib(self, factor, multipliers):
-        # real-by-real products into `half` need no cast of the symbol, and
-        # the symbols' halves are contiguous; what remains (65 KiB) are
-        # numpy's buffers for the strided real and imaginary parts
+        # the half is copied into `half` and multiplied there in place:
+        # real-by-real products of contiguous halves need no cast and no
+        # ufunc buffer, so about 2 KiB remain
         f = random_field(G32, 45, decay=1.0)
         _, peak = self.traced_peak(lambda: lebesgue_norm(f, 5.3, factor, multipliers))
         assert peak < 96 * 2 ** 10
+
+    @pytest.mark.parametrize("multipliers", [
+        (), smoothing_multiplier(4.0, 0.95),
+        (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["none", "one", "two"])
+    def test_apply_multiplier_allocates_only_its_result(self, multipliers):
+        # the half is multiplied in a workspace buffer and conjugated there,
+        # so the reflection is plain copies and no ufunc needs a buffer
+        f = random_field(G32, 42, decay=1.0)
+        product, peak = self.traced_peak(lambda: apply_multiplier(f, multipliers))
+        assert product.coeffs.nbytes == 512 * 2 ** 10
+        assert peak <= product.coeffs.nbytes + 4 * 2 ** 10
 
     def test_meter_builds_no_field(self):
         # each (cutoff, triple) norm multiplies u's half in a workspace
@@ -795,7 +821,7 @@ class TestWorkspaceBoundary:
 
     SEALED = {"_workspace", "_Workspace", "_buffer", "_sample_slabs", "_fold_slab",
               "_fold_half", "_power", "_symbol", "_complete", "_resize", "_forward",
-              "_half_band", "_conj_mirror", "_clean"}
+              "_half_band", "_conj_mirror", "_clean", "_dft_matrices", "_multiplied_half"}
 
     def test_every_sealed_name_is_defined_in_fields(self):
         # a name that fields no longer defines would guard nothing
@@ -824,6 +850,66 @@ class TestWorkspaceBoundary:
                 found += [f"{path.relative_to(root)}:{node.lineno} {name}"
                           for name in names & self.SEALED]
         assert found == []
+
+
+class TestLastAxisKernels:
+    """The last-axis steps of `_sample_slabs` and `_fold_slab` are matrix
+    products with `_dft_matrices`.  Each is checked against numpy's float64
+    irfft/rfft and a long-double FFT on white-noise rows, whose every
+    resolved mode is active.  The inverse must be within 4x the FFT's
+    error.  So must the forward up to m = 96; it sums m terms per value, so
+    its error grows like sqrt(m) where the FFT's grows like log m, and over
+    20 draws of 128 rows it read up to 3.8x the FFT's error at m <= 96, but
+    up to 4.9x at m = 128 and 5.4x at m = 256, where it must be within 6x.
+    The inverse read up to 3.9x."""
+
+    ROWS = 128
+
+    @staticmethod
+    def errors(got, fft, ref):
+        """Largest |error| of the product and of the float64 FFT against the
+        long-double reference, and of the product against the FFT, each
+        relative to the largest |value|."""
+        scale = np.max(np.abs(ref))
+        return (float(np.max(np.abs(got - ref)) / scale),
+                float(np.max(np.abs(fft - ref)) / scale),
+                float(np.max(np.abs(got - fft)) / scale))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_inverse_product_is_as_accurate_as_irfft(self, n, factor):
+        m, h = factor * n, n // 2
+        rng = np.random.default_rng(7 * m + n)
+        c = rng.standard_normal((self.ROWS, h)) + 1j * rng.standard_normal((self.ROWS, h))
+        padded = np.zeros((self.ROWS, m // 2 + 1), dtype=np.complex128)
+        padded[:, :h] = c
+        got = c.view(np.float64) @ _dft_matrices(n, m)[0]
+        fft = np.fft.irfft(padded, n=m, norm="forward")
+        ref = np.fft.irfft(padded.astype(np.clongdouble), n=m, norm="forward")
+        err, fft_err, apart = self.errors(got, fft, ref)
+        assert err <= 4.0 * fft_err
+        assert apart <= 5.0 * fft_err
+        assert err < 1e-15
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_forward_product_is_as_accurate_as_rfft(self, n, factor):
+        m, h = factor * n, n // 2
+        x = np.random.default_rng(7 * m + n + 1).standard_normal((self.ROWS, m))
+        got = (x @ _dft_matrices(n, m)[1]).view(np.complex128)
+        fft = np.fft.rfft(x, norm="forward")[:, :h]
+        ref = np.fft.rfft(x.astype(np.longdouble), norm="forward")[:, :h]
+        err, fft_err, apart = self.errors(got, fft, ref)
+        bound = 4.0 if m <= 96 else 6.0
+        assert err <= bound * fft_err
+        assert apart <= (bound + 1.0) * fft_err
+        assert err < 2e-15
+
+    def test_matrices_are_cached_read_only(self):
+        inverse, forward = _dft_matrices(32, 64)
+        assert (inverse.shape, forward.shape) == ((32, 64), (64, 32))
+        assert _dft_matrices(32, 64)[0] is inverse
+        assert not inverse.flags.writeable and not forward.flags.writeable
 
 
 class TestOversampledValues:

@@ -39,7 +39,8 @@ warm run of each shrunk experiment (one run after an untraced run of the
 same config, so the caches and workspaces already exist), on both trees.
 Under each peak a second line gives the bytes the process keeps after that
 experiment's runs: the distinct workspace buffers and the arrays that the
-`_symbol`, `_rotation` and `_kmag` caches hold, with their entry counts.
+`_symbol`, `_rotation`, `_kmag` and `_dft_matrices` caches hold, with their
+entry counts.
 Every cache is emptied before each experiment, so each line is one
 experiment's alone:
 
@@ -51,6 +52,8 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -256,6 +259,57 @@ def test_deviations_read_zero_against_itself_and_flag_a_change(golden):
     assert math.isnan(dev) and at == row
 
 
+# Run in a fresh process: the thread count numpy's OpenBLAS reports (None
+# where the library is not found), and the SHA-256 of an n = 64 kick, whose
+# last-axis products are large enough for OpenBLAS to split them over its
+# threads, and of a shrunk `growth` CSV (overrides in argv[1]).
+THREADS_SCRIPT = """
+import ctypes, glob, hashlib, json, os, sys
+import numpy as np
+from nlwlab.dynamics import nonlinear_term
+from nlwlab.fields import Grid, apply_multiplier, from_coeffs, power_multiplier
+from nlwlab.harness.config import build_config
+from nlwlab.harness.experiments import run_experiment
+from nlwlab.harness.records import rows_to_csv_text
+
+def blas_threads():
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+grid = Grid(n=64, L=32.0)
+rng = np.random.default_rng(5)
+u = from_coeffs(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+u = apply_multiplier(u, power_multiplier(-1.5))
+kick = nonlinear_term(u, 4.0, 2).coeffs.tobytes()
+result = run_experiment("growth", build_config("growth", overrides=json.loads(sys.argv[1])),
+                        workers=1)
+csv = rows_to_csv_text("growth", result.records).encode("utf-8")
+print(json.dumps({"threads": blas_threads(), "kick": hashlib.sha256(kick).hexdigest(),
+                  "csv": hashlib.sha256(csv).hexdigest()}))
+"""
+
+
+def test_blas_thread_count_leaves_the_bits_unchanged():
+    # the last-axis transforms are BLAS products, which OpenBLAS may split
+    # over threads; one thread and two must give the same bytes
+    src = str(Path(fields.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH", "")) if p)
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, json.dumps(SHRUNK["growth"])],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        runs[threads] = json.loads(done.stdout.splitlines()[-1])
+        assert runs[threads]["threads"] in (threads, None)
+    assert runs[1]["kick"] == runs[2]["kick"]
+    assert runs[1]["csv"] == runs[2]["csv"]
+
+
 def output_hashes(name: str) -> tuple[str, str]:
     """SHA-256 of one shrunk experiment's CSV text and of its summary text
     without `duration_seconds`, the one field that differs between runs."""
@@ -267,7 +321,8 @@ def output_hashes(name: str) -> tuple[str, str]:
 
 
 # the caches whose arrays `kept_bytes` counts, by the name it prints
-CACHES = {"_symbol": fields._symbol, "_rotation": dynamics._rotation, "_kmag": fields._kmag}
+CACHES = {"_symbol": fields._symbol, "_rotation": dynamics._rotation, "_kmag": fields._kmag,
+          "_dft_matrices": fields._dft_matrices}
 
 
 def clear_caches() -> None:

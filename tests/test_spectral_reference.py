@@ -2,12 +2,15 @@
 
 `block_slices` maps a small fftn-layout spectrum into a bigger one; the c2c
 references pad and truncate with it.  `reference_samples` and `reference_band`
-are the unpruned real-to-complex transforms: the whole padded half spectrum
-goes through `irfftn`, and the whole `rfftn` output is truncated afterwards.
-`nlwlab.fields._sample_slabs` and `_half_band` skip the columns of the same
-per-axis steps that are all padding or are truncated away, and run them
-slab by slab, so they must agree with these bit for bit.  `reverse_indices`
-is the k -> -k oracle, written apart from the package's `_conj_mirror`.
+are the unpruned real-to-complex transforms in the axis order of numpy's
+`irfftn` and `rfftn`: numpy's axis-0 and axis-1 transforms run over the whole
+padded (or whole untruncated) array, and the last axis is one matrix product
+of the whole array with `_dft_matrices`, the matrices that
+`nlwlab.fields._sample_slabs` and `_fold_slab` apply.  Those and `_half_band`
+skip the columns of the same per-axis steps that are all padding or are
+truncated away, and run them slab by slab, so they must agree with these bit
+for bit.  `reverse_indices` is the k -> -k oracle, written apart from the
+package's `_conj_mirror`.
 """
 
 import itertools
@@ -15,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlwlab.fields import Grid, _clean, from_coeffs
+from nlwlab.fields import Grid, _clean, _dft_matrices, from_coeffs
 
 # (grid, factor) cases of the bit-for-bit kick and quadrature tests: n = 16
 # at factors 1-4, and the benchmark's n = 32 grid at factor 2, whose m = 64
@@ -47,19 +50,27 @@ def reverse_indices(c: np.ndarray) -> np.ndarray:
 
 
 def reference_samples(grid: Grid, coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Full n-point coefficients -> zero-padded m-point half spectrum -> irfftn."""
+    """Full n-point coefficients -> zero-padded m-point k_z < n/2 half
+    spectrum -> numpy's axis-0 and axis-1 inverses -> the last-axis product."""
     n, dim = grid.n, grid.dim
     kz = (slice(0, n // 2),)
-    half = np.zeros((m,) * (dim - 1) + (m // 2 + 1,), dtype=np.complex128)
+    half = np.zeros((m,) * (dim - 1) + (n // 2,), dtype=np.complex128)
     for src, dst in block_slices(n, m, dim - 1):
         half[dst + kz] = coeffs[src + kz]
-    return np.fft.irfftn(half, s=(m,) * dim, axes=tuple(range(dim)), norm="forward")
+    for axis in range(dim - 1):
+        half = np.fft.ifft(half, axis=axis, norm="forward")
+    rows = half.view(np.float64).reshape(-1, n)
+    return (rows @ _dft_matrices(n, m)[0]).reshape((m,) * dim)
 
 
 def reference_band(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """rfftn of m-point samples -> resolved k_z >= 0 block -> Hermitian full layout."""
-    n, dim = grid.n, grid.dim
-    half = np.fft.rfftn(samples, axes=tuple(range(dim)), norm="forward")
+    """The last-axis product of m-point samples -> numpy's axis-1 and axis-0
+    forward transforms -> resolved block -> Hermitian full layout."""
+    n, dim, m = grid.n, grid.dim, samples.shape[-1]
+    rows = samples.reshape(-1, m) @ _dft_matrices(n, m)[1]
+    half = rows.view(np.complex128).reshape(samples.shape[:-1] + (n // 2,))
+    for axis in range(dim - 2, -1, -1):
+        half = np.fft.fft(half, axis=axis, norm="forward")
     kz = (slice(0, n // 2),)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for src, dst in block_slices(n, half.shape[0], dim - 1):
