@@ -4,9 +4,9 @@
 references pad and truncate with it.  `reference_samples` and `reference_band`
 are the unpruned real-to-complex transforms in the axis order of numpy's
 `irfftn` and `rfftn`: numpy's axis-0 and axis-1 transforms run over the whole
-padded (or whole untruncated) array, and the last axis is one matrix product
-of the whole array with `_dft_matrices`, the matrices that
-`nlwlab.fields._sample_slabs` and `_fold_slab` apply.  Those and `_half_band`
+padded (or whole untruncated) array, and the last axis is the product of
+the whole array with `_dft_matrices` that `nlwlab.fields._sample_slabs`
+applies, or `_forward_product`, which `_fold_slab` applies.  Those and `_half_band`
 skip the columns of the same per-axis steps that are all padding or are
 truncated away, and run them slab by slab, so they must agree with these bit
 for bit.  `reverse_indices` is the k -> -k oracle, written apart from the
@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlwlab.fields import Grid, _clean, _dft_matrices, from_coeffs
+from nlwlab.fields import Grid, _clean, _dft_matrices, _forward_product, from_coeffs
 
 # (grid, factor) cases of the bit-for-bit kick and quadrature tests: n = 16
 # at factors 1-4, and the benchmark's n = 32 grid at factor 2, whose m = 64
@@ -67,7 +67,8 @@ def reference_band(grid: Grid, samples: np.ndarray) -> np.ndarray:
     """The last-axis product of m-point samples -> numpy's axis-1 and axis-0
     forward transforms -> resolved block -> Hermitian full layout."""
     n, dim, m = grid.n, grid.dim, samples.shape[-1]
-    rows = samples.reshape(-1, m) @ _dft_matrices(n, m)[1]
+    rows = samples.reshape(-1, m)
+    rows = _forward_product(rows, np.empty((len(rows), n)), np.empty((len(rows), n)))
     half = rows.view(np.complex128).reshape(samples.shape[:-1] + (n // 2,))
     for axis in range(dim - 2, -1, -1):
         half = np.fft.fft(half, axis=axis, norm="forward")
