@@ -192,8 +192,8 @@ def rescale(state: WaveState, lam: float, params: PdeParams) -> WaveState:
     grid = state.grid
     new_grid = Grid(n=grid.n, L=lam * grid.L)
     a = 1.5 - params.s_crit
-    u = _make(new_grid, state.u.coeffs * lam ** (-a))
-    v = _make(new_grid, state.v.coeffs * lam ** (-a - 1.0))
+    u = _make(new_grid, state.u.half * lam ** (-a))
+    v = _make(new_grid, state.v.half * lam ** (-a - 1.0))
     return WaveState(u=u, v=v, t=lam * state.t)
 
 

@@ -16,14 +16,15 @@ of one interval and the opening half-kick of the next act at the same u, so
 kick twice: a run of N intervals of S steps evaluates N S + 1 kicks.  `evolve`
 is the one integrator; `strang_step` is a single step of it.
 
-Between observations `evolve` carries only the k_z < n/2 half of u and v
-(see `fields`): the rotation symbols are even in k and the kick returns the
-half of an exactly Hermitian field, so the dropped half is always the
-conjugate reflection of the kept one.  Each sampled state that is kept or
-observed, and the last, is completed to the full layout once.  One cache
+A field is its k_z < n/2 half (see `fields`), and every step here reads and
+writes halves only: the rotation symbols are even in k and the kick returns
+the half of an exactly Hermitian field, so the dropped half is always the
+conjugate reflection of the kept one.  Between observations `evolve` carries
+u's and v's halves in its own buffers; each sampled state that is kept or
+observed, and the last, is built once, from copies of them.  One cache
 (`_rotation`) holds the rotation symbols, and only their k_z < n/2 halves:
 `evolve` rotates its halves in place with them, and `propagate_linear`, the
-exact free wave, rotates a state's half and completes it;
+exact free wave, rotates a state's halves into new ones;
 `linear_trajectory` steps each sample from the last.
 
 Both runs hand each sampled state to an optional observer as it is made, and
@@ -49,7 +50,6 @@ from .fields import (
     SpectralField,
     FieldError,
     _check_oversample,
-    _from_half,
     _kmag,
     _make,
     _projected_power,
@@ -60,9 +60,12 @@ from .fields import (
 )
 
 
-# Most steps one run may take, and most bytes its kept states may hold (u and
-# v in complex128, 32 bytes a point: 17 MiB for 17 states of 32^3); a larger
-# request is an input error.
+# Most steps one run may take, and most bytes its kept states may hold,
+# counted at 32 bytes a point (u and v in complex128 on the full grid: 17 MiB
+# for 17 states of 32^3); a larger request is an input error.  A kept state
+# holds only the k_z < n/2 halves, 16 bytes a point, so the cap counts twice
+# what the states hold; it is kept at the full count so that no config
+# changes its verdict.
 MAX_STEPS = 2 ** 20
 MAX_KEPT_BYTES = 2 ** 31
 
@@ -170,16 +173,14 @@ def _rotation(grid: Grid, duration: float):
 def propagate_linear(state: WaveState, duration: float) -> WaveState:
     """Exact free-wave propagation: per-mode rotation at angular speed |k|.
 
-    The k_z < n/2 half is rotated and completed to a field; the symbols
-    are even in k, so the result equals the rotated full layout value for
-    value.
+    The k_z < n/2 halves are rotated into new halves; the symbols are even
+    in k, so the result equals the rotated full layout value for value.
     """
     grid = state.grid
     cos, sinc, neg_ksin = _rotation(grid, duration)
-    h = grid.n // 2
-    uc, vc = state.u.coeffs[..., :h], state.v.coeffs[..., :h]
-    return WaveState(u=_from_half(grid, cos * uc + sinc * vc),
-                     v=_from_half(grid, neg_ksin * uc + cos * vc),
+    uc, vc = state.u.half, state.v.half
+    return WaveState(u=_make(grid, cos * uc + sinc * vc),
+                     v=_make(grid, neg_ksin * uc + cos * vc),
                      t=state.t + duration)
 
 
@@ -187,20 +188,20 @@ def propagate_linear(state: WaveState, duration: float) -> WaveState:
 # Nonlinear kick with spectral oversampling
 # ---------------------------------------------------------------------------
 
-def _nonlinear_raw(grid: Grid, ucoef: np.ndarray, p: float, oversample: int) -> np.ndarray:
+def _nonlinear_raw(grid: Grid, uhalf: np.ndarray, p: float, oversample: int) -> np.ndarray:
     """Band-projected |u|^(p-1) u: oversampled pointwise evaluation, truncated back.
 
-    Takes u's full or k_z < n/2 half coefficients and returns the half of the
-    result (`fields._projected_power` at e = p - 1): a whole p - 1 by IEEE
+    Takes u's k_z < n/2 half and returns the half of the result
+    (`fields._projected_power` at e = p - 1): a whole p - 1 by IEEE
     products (p = 4: u *= w; w *= w; u *= w with w = |u|), any other by `np.power`.
     """
-    return _projected_power(grid, ucoef, p - 1.0, oversample)
+    return _projected_power(grid, uhalf, p - 1.0, oversample)
 
 
 def nonlinear_term(u: SpectralField, p: float, oversample: int = 2) -> SpectralField:
     """Projection of |u|^(p-1) u onto the resolved (mean-free) band; p must
     exceed 1, as in `StepperConfig`."""
-    return _from_half(u.grid, _nonlinear_raw(u.grid, u.coeffs, _check_power(p), oversample))
+    return _make(u.grid, _nonlinear_raw(u.grid, u.half, _check_power(p), oversample))
 
 
 def strang_step(state: WaveState, cfg: StepperConfig) -> WaveState:
@@ -250,8 +251,9 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
     The run must obey `step_plan`, its states counted only with keep_states.
     Sample i is stamped t + i interval; non-finite values abort with
     BlowUpError and the offending time stamp.  The run releases its input
-    state once the halves are copied.  A sample is completed to a state only
-    when it is kept or observed, and the last always, for `final`.  Without
+    state once the halves are copied.  A sample is built as a state, from
+    copies of the carried halves, only when it is kept or observed, and the
+    last always, for `final`.  Without
     keep_states it drops each sample once the observer returns, before the
     kicks that follow it; the rotation scratch is allocated per interval, so
     none of it is alive while a sample is observed.
@@ -264,13 +266,13 @@ def evolve(state: WaveState, horizon: float, cfg: StepperConfig, *,
 
     p, ov = cfg.p, cfg.oversample
     cos, sinc, neg_ksin = _rotation(grid, h)
-    u = state.u.coeffs[..., :grid.n // 2].copy()
-    v = state.v.coeffs[..., :grid.n // 2].copy()
+    u = state.u.half.copy()
+    v = state.v.half.copy()
     del state  # the run reads only its halves, times and grid from here on
     states: list[WaveState] | None = [] if keep_states else None
 
     def snapshot(i: int) -> WaveState:
-        snap = WaveState(u=_from_half(grid, u), v=_from_half(grid, v), t=float(times[i]))
+        snap = WaveState(u=_make(grid, u.copy()), v=_make(grid, v.copy()), t=float(times[i]))
         if states is not None:
             states.append(snap)
         if observer is not None:
@@ -355,9 +357,9 @@ def pde_residual(prev: WaveState, mid: WaveState, nxt: WaveState, p: float,
     dt2 = nxt.t - mid.t
     if dt1 <= 0.0 or abs(dt1 - dt2) > 1e-9 * max(dt1, dt2):
         raise FieldError(f"residual requires equispaced times, got {dt1} and {dt2}")
-    acc = (nxt.u.coeffs - 2.0 * mid.u.coeffs + prev.u.coeffs) / (dt1 * dt2)
-    lap = apply_multiplier(mid.u, power_multiplier(2.0)).coeffs
-    g = nonlinear_term(mid.u, p, oversample).coeffs
+    acc = (nxt.u.half - 2.0 * mid.u.half + prev.u.half) / (dt1 * dt2)
+    lap = apply_multiplier(mid.u, power_multiplier(2.0)).half
+    g = nonlinear_term(mid.u, p, oversample).half
     res = _make(mid.grid, acc + lap + g)
     return sobolev_norm(res, 0.0)
 

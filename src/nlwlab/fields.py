@@ -1,7 +1,7 @@
 """Periodic pseudospectral fields on a uniform grid.
 
 The grid is three-dimensional, the dimension of the paper's equation.  A
-field is stored by its Fourier coefficients in numpy fftn layout with the
+field's Fourier coefficients are those of numpy's fftn layout with the
 forward transform normalized by 1/n^3, so a coefficient is the amplitude of
 exp(i k.x) in the trigonometric expansion and wavenumbers are (2 pi / L) times
 integer vectors.  Three conventions hold for every field in the package:
@@ -11,14 +11,16 @@ integer vectors.  Three conventions hold for every field in the package:
   are exactly Hermitian and spectral padding/truncation is loss-free,
 * coefficient arrays are frozen (writeable=False); operations return new fields.
 
-Transforms act on real data, so they run real-to-complex from the half
-spectrum (k_z < n/2 on the last axis; the k_z = n/2 Nyquist plane is zero).
-`_sample_slabs` reads only that half, so it takes a full or a half array.
-`_half_band` returns that half: its k_z = 0 plane, which the dropped k_z < 0
-half shares, is replaced by its Hermitian part, and the mean and the Nyquist
-planes are zeroed.  `_complete` rebuilds the full fftn layout from such a
-half by Hermitian reflection, and `from_physical` is the two in turn.
-`_conj_mirror` writes every k -> -k reflection, `from_coeffs`'s too.  Both
+A real field is exactly Hermitian, so its k_z < n/2 half (the r2c storage
+of FFTW and of numpy's rfftn; the k_z = n/2 Nyquist plane is zero) holds all
+of it, and that contiguous (n, n, n/2) half, `SpectralField.half`, is the
+one array a field stores.  `SpectralField.coeffs` rebuilds the full fftn
+layout from it (`_complete`, by Hermitian reflection) as a new array on each
+read, for callers that want it; no kernel reads it.  `_half_band` returns
+such a half: its k_z = 0 plane, which the dropped k_z < 0 half shares, is
+replaced by its Hermitian part, and the mean and the Nyquist planes are
+zeroed.  `from_coeffs` forms only the half of its projection.
+`_conj_mirror` writes every k -> -k reflection.  Both
 transforms run in numpy's irfftn/rfftn axis order, pruned to skip the
 columns that are all zero padding (or are truncated away).  The two leading
 axes run numpy's FFTs.  The last axis, n/2 resolved k_z against m real
@@ -29,10 +31,9 @@ The forward product sums each row's two halves apart (`_forward_product`),
 which keeps it near the FFT's accuracy.
 The results are bit for bit those of the unpruned transforms with the same
 last-axis product, and within a few float64 roundings of numpy's
-irfftn/rfftn.  Every field is exactly Hermitian, so its half holds all of
-it; the integrator (`dynamics.evolve`) carries only halves between samples,
-and the exact free-wave propagator (`dynamics.propagate_linear`) rotates
-only the half.
+irfftn/rfftn.  The integrator (`dynamics.evolve`) carries halves between
+samples and copies one into each sample it builds, and the exact free-wave
+propagator (`dynamics.propagate_linear`) rotates halves into new halves.
 
 Every transform runs in a workspace, `_workspace(n, m)` for its grid's n
 and its m-point samples: views into one set of buffers per n, built once per
@@ -52,17 +53,17 @@ together, against 5.6 MiB for whole m^3 buffers at m = 64 alone.
 
 Only this module drives the workspaces.  Other modules call its kernels,
 which build no field: `_projected_power` (the kick; it allocates only the
-half it returns), `lebesgue_norm`, `sobolev_norm` and `_from_half`.  Every
-kernel reads the k_z < n/2 half, and `_symbol` caches each symbol as that
-contiguous half only.  Every product multiplies the half's real parts and
+half it returns), `lebesgue_norm` and `sobolev_norm`.  Every kernel reads
+the field's half, and `_symbol` caches each symbol as that contiguous half
+only.  Every product multiplies the half's real parts and
 its imaginary parts by each symbol alike, in contiguous workspace buffers:
 for finite values that is the complex product up to the sign of a zero,
 with no cast and no ufunc buffer.  A quadrature allocates nothing but its
 eight slab sums, `sobolev_norm` nothing at all, and `apply_multiplier`
-only the field it returns.
+only the half of the field it returns.
 `to_physical` copies its samples out of the (n, n) workspace, and
-`from_physical` returns a new array of coefficients, so no public function
-returns a workspace buffer.
+`from_physical` returns a new half, so no public function returns a
+workspace buffer.
 
 Norms: the homogeneous Sobolev norm of order sigma is the weighted coefficient
 l2 norm sqrt(L^3 * sum |k|^(2 sigma) |c_k|^2), which by the normalization
@@ -158,29 +159,42 @@ def _kmag(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Immutable Fourier-side field; build via from_coeffs / from_physical."""
+    """Immutable Fourier-side field; build via from_coeffs / from_physical.
+
+    `half` is the frozen, contiguous (n, n, n/2) array of the k_z < n/2
+    coefficients, the only one a field holds; `coeffs` is the full fftn
+    layout, rebuilt from it (`_complete`) as a new read-only array on each
+    read.
+    """
 
     grid: Grid
-    coeffs: np.ndarray
+    half: np.ndarray
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        out = _complete(self.grid, self.half)
+        out.flags.writeable = False
+        return out
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _same_grid(self, other)
-        return _make(self.grid, self.coeffs + other.coeffs)
+        return _make(self.grid, self.half + other.half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _same_grid(self, other)
-        return _make(self.grid, self.coeffs - other.coeffs)
+        return _make(self.grid, self.half - other.half)
 
     def __mul__(self, a: float) -> "SpectralField":
-        return _make(self.grid, self.coeffs * a)
+        return _make(self.grid, self.half * a)
 
     __rmul__ = __mul__
 
 
-def _make(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """Wrap coefficients known to satisfy the field conventions (no checks)."""
-    coeffs.flags.writeable = False
-    return SpectralField(grid=grid, coeffs=coeffs)
+def _make(grid: Grid, half: np.ndarray) -> SpectralField:
+    """Wrap a contiguous k_z < n/2 half known to satisfy the field
+    conventions (no checks), frozen in place."""
+    half.flags.writeable = False
+    return SpectralField(grid=grid, half=half)
 
 
 def _same_grid(a: SpectralField, b: SpectralField) -> None:
@@ -188,18 +202,14 @@ def _same_grid(a: SpectralField, b: SpectralField) -> None:
         raise FieldError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
-def _clean(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero the mean mode and the unpaired Nyquist planes, in place.
-
-    A k_z < n/2 half holds no k_z Nyquist plane; its other planes are zeroed.
-    """
+def _clean(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Zero the mean mode and the k_x and k_y Nyquist planes of a k_z < n/2
+    half, in place; the half holds no k_z Nyquist plane."""
     h = grid.n // 2
-    coeffs[h] = 0.0
-    coeffs[:, h] = 0.0
-    if coeffs.shape[2] > h:
-        coeffs[:, :, h] = 0.0
-    coeffs[0, 0, 0] = 0.0
-    return coeffs
+    half[h] = 0.0
+    half[:, h] = 0.0
+    half[0, 0, 0] = 0.0
+    return half
 
 
 def from_coeffs(grid: Grid, coeffs: np.ndarray) -> SpectralField:
@@ -207,16 +217,18 @@ def from_coeffs(grid: Grid, coeffs: np.ndarray) -> SpectralField:
 
     The input is projected onto the package conventions: Hermitian symmetry,
     c <- (c + conj(c at -k)) / 2 with the reflection of `_conj_mirror`, zero
-    mean mode, empty Nyquist planes.  Already-conforming input round-trips
-    value for value (a zero part may change its sign).
+    mean mode, empty Nyquist planes.  Only the k_z < n/2 half of the
+    projection is formed, since it is all the field holds.  Already-conforming
+    input round-trips value for value (a zero part may change its sign).
     """
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.shape != grid.shape:
         raise FieldError(f"coefficient shape {arr.shape} != grid shape {grid.shape}")
-    out = np.empty(grid.shape, dtype=np.complex128)
+    h = grid.n // 2
+    out = np.empty(grid.shape[:-1] + (h,), dtype=np.complex128)
     _conj_mirror(arr[..., :1], out[..., :1])
-    _conj_mirror(arr[..., :0:-1], out[..., 1:])
-    out += arr
+    _conj_mirror(arr[..., :h:-1], out[..., 1:])
+    out += arr[..., :h]
     out *= 0.5
     return _make(grid, _clean(grid, out))
 
@@ -224,12 +236,12 @@ def from_coeffs(grid: Grid, coeffs: np.ndarray) -> SpectralField:
 def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
     """Forward transform of real grid samples, normalized by 1/n^3.
 
-    It runs in the (n, n) workspace; the coefficients are a new array.
+    It runs in the (n, n) workspace; the field's half is a new array.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.shape != grid.shape:
         raise FieldError(f"sample shape {arr.shape} != grid shape {grid.shape}")
-    return _from_half(grid, _half_band(grid, arr, _workspace(grid.n, grid.n)))
+    return _make(grid, _half_band(grid, arr, _workspace(grid.n, grid.n)))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
@@ -239,7 +251,7 @@ def to_physical(field: SpectralField) -> np.ndarray:
     """
     grid = field.grid
     out = np.empty(grid.shape)
-    for rows, samples in _sample_slabs(grid, field.coeffs, grid.n, _workspace(grid.n, grid.n)):
+    for rows, samples in _sample_slabs(grid, field.half, grid.n, _workspace(grid.n, grid.n)):
         out[rows] = samples
     return out
 
@@ -333,19 +345,12 @@ def apply_multiplier(field: SpectralField, spec) -> SpectralField:
     multiplier demands a clean zero mode; the field conventions guarantee
     it, and a violation (hand-built coefficients) raises.
 
-    The result is the only new array.  The k_z < n/2 half is multiplied in
-    the (n, n) workspace's `half` (`_multiplied_half`, as in
-    `lebesgue_norm`) and copied into the result's k_z < n/2 columns; the
-    workspace copy is then conjugated in place and reflected into k_z > n/2
-    by plain copies, so that no numpy ufunc runs on a strided view, where it
-    would need a buffer."""
-    grid, h = field.grid, field.grid.n // 2
+    The result's half is the only new array: the half is multiplied in the
+    (n, n) workspace's `half` (`_multiplied_half`, as in `lebesgue_norm`)
+    and copied out."""
+    grid = field.grid
     half = _multiplied_half(field, _checked_specs(field, spec), _workspace(grid.n, grid.n).half)
-    out = np.empty(grid.shape, dtype=np.complex128)
-    out[..., :h] = half
-    out[..., h] = 0.0
-    _conj_mirror(np.conjugate(half, out=half)[..., 1:], out[..., :h:-1], conjugate=False)
-    return _make(grid, out)
+    return _make(grid, half.copy())
 
 
 def _multiplied_half(field: SpectralField, specs: tuple, half: np.ndarray) -> np.ndarray:
@@ -355,7 +360,7 @@ def _multiplied_half(field: SpectralField, specs: tuple, half: np.ndarray) -> np
     real parts and its imaginary parts alike, in place: for finite values
     the complex product up to the sign of a zero, with no cast and, on the
     contiguous `half` of a workspace, no ufunc buffer."""
-    np.copyto(half, field.coeffs[..., :field.grid.n // 2])
+    np.copyto(half, field.half)
     for spec in specs:
         sym = _symbol(field.grid, spec)
         half.real *= sym
@@ -368,7 +373,7 @@ def _checked_specs(field: SpectralField, spec) -> tuple:
     `apply_multiplier` and of both norms: a negative-order power multiplier
     on a field whose zero mode is not 0 raises FieldError."""
     specs = (spec,) if isinstance(spec, MultiplierSpec) else tuple(spec)
-    if field.coeffs[0, 0, 0] != 0.0 and any(
+    if field.half[0, 0, 0] != 0.0 and any(
             sp.kind == "power" and sp.order < 0.0 for sp in specs):
         raise FieldError("negative-order multiplier on a field with a mean")
     return specs
@@ -403,8 +408,8 @@ def sobolev_norm(field: SpectralField, sigma: float, multipliers=()) -> float:
     grid, n, h = field.grid, field.grid.n, field.grid.n // 2
     ws = _workspace(n, n)
     re, im = (buf[:h].reshape(n, n, h) for buf in (ws.phys, ws.work))
-    np.copyto(re, field.coeffs.real[..., :h])
-    np.copyto(im, field.coeffs.imag[..., :h])
+    np.copyto(re, field.half.real)
+    np.copyto(im, field.half.imag)
     for spec in _norm_specs(field, multipliers):
         sym = _symbol(grid, spec)
         re *= sym
@@ -432,21 +437,15 @@ def _resize(a: np.ndarray, axis: int, size: int, h: int, out: np.ndarray) -> np.
     return out
 
 
-def _conj_mirror(c: np.ndarray, out: np.ndarray, conjugate: bool = True) -> np.ndarray:
+def _conj_mirror(c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out <- conj(c at -k) on the leading axes; the last axis maps straight across.
 
-    Per leading axis, index 0 stays and 1..n-1 run backwards.  With
-    `conjugate` False the reflection is plain copies, for a c that is
-    already conjugated.
+    Per leading axis, index 0 stays and 1..n-1 run backwards.
     """
     n = c.shape[0]
     pairs = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1)))
     for combo in itertools.product(pairs, repeat=c.ndim - 1):
-        src, dst = c[tuple(s for _, s in combo)], out[tuple(d for d, _ in combo)]
-        if conjugate:
-            np.conjugate(src, out=dst)
-        else:
-            np.copyto(dst, src)
+        np.conjugate(c[tuple(s for _, s in combo)], out=out[tuple(d for d, _ in combo)])
     return out
 
 
@@ -583,9 +582,10 @@ def _forward_product(samples: np.ndarray, out: np.ndarray, part: np.ndarray) -> 
     return np.add(out, np.matmul(samples[..., k:], forward[k:], out=part), out=out)
 
 
-def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
-    """Real values of the coefficients on the m-point grid (m a multiple of
-    n), one slab at a time: yields (rows, samples) per slab of `ws.slabs`.
+def _sample_slabs(grid: Grid, half: np.ndarray, m: int, ws: _Workspace):
+    """Real values on the m-point grid (m a multiple of n) of the field whose
+    k_z < n/2 half is given, one slab at a time: yields (rows, samples) per
+    slab of `ws.slabs`.
 
     The axis order of irfftn, pruned: each leading axis is padded to m just
     before its own inverse transform, so no transform runs over columns that
@@ -603,8 +603,7 @@ def _sample_slabs(grid: Grid, coeffs: np.ndarray, m: int, ws: _Workspace):
     """
     n, h = grid.n, grid.n // 2
     inverse = _dft_matrices(n, m)[0]
-    a = np.fft.ifft(_resize(coeffs[..., :h], 0, m, h, ws.rows), axis=0, norm="forward",
-                    out=ws.rows)
+    a = np.fft.ifft(_resize(half, 0, m, h, ws.rows), axis=0, norm="forward", out=ws.rows)
     for rows in ws.slabs:
         b = np.fft.ifft(_resize(a[rows], 1, m, h, ws.pad), axis=1, norm="forward", out=ws.pad)
         yield rows, np.matmul(b.view(np.float64), inverse, out=ws.phys)
@@ -696,9 +695,9 @@ def lebesgue_norm(field: SpectralField, r: float, oversample: int = 1,
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
     specs = _norm_specs(field, multipliers)
-    coeffs = _multiplied_half(field, specs, ws.half) if specs else field.coeffs
+    half = _multiplied_half(field, specs, ws.half) if specs else field.half
     sums = [np.sum(_power(np.abs(samples, out=ws.work), r, samples, times=False))
-            for _, samples in _sample_slabs(grid, coeffs, m, ws)]
+            for _, samples in _sample_slabs(grid, half, m, ws)]
     return float(grid.L ** 3 / m ** 3 * np.sum(sums)) ** (1.0 / r)
 
 
@@ -738,19 +737,14 @@ def _power(w: np.ndarray, e: float, out: np.ndarray, times: bool) -> np.ndarray:
     return out
 
 
-def _from_half(grid: Grid, half: np.ndarray) -> SpectralField:
-    """The field, on a new array, whose k_z < n/2 half is given (`_complete`)."""
-    return _make(grid, _complete(grid, half))
-
-
-def _projected_power(grid: Grid, coeffs: np.ndarray, e: float, oversample: int) -> np.ndarray:
+def _projected_power(grid: Grid, half: np.ndarray, e: float, oversample: int) -> np.ndarray:
     """Band projection of u |u|^e, sampled `oversample` times finer, as its
-    k_z < n/2 half, the only new array; coeffs is u's full or half.  Each
-    slab's samples are multiplied by |u|^e (`_power`) and folded back
-    (`_fold_slab`) before the next slab is sampled."""
+    k_z < n/2 half, the only new array; `half` is u's.  Each slab's samples
+    are multiplied by |u|^e (`_power`) and folded back (`_fold_slab`) before
+    the next slab is sampled."""
     m = _check_oversample(oversample) * grid.n
     ws = _workspace(grid.n, m)
-    for rows, u in _sample_slabs(grid, coeffs, m, ws):
+    for rows, u in _sample_slabs(grid, half, m, ws):
         _fold_slab(grid, _power(np.abs(u, out=ws.work), e, u, times=True), rows, ws)
     return _fold_half(grid, ws)
 

@@ -10,7 +10,7 @@ from nlwlab.fields import FieldError, Grid, SpectralField, _make
 
 
 def zero_field(grid: Grid) -> SpectralField:
-    return _make(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return _make(grid, np.zeros(grid.shape[:-1] + (grid.n // 2,), dtype=np.complex128))
 
 
 def single_mode(grid: Grid, index: tuple[int, ...], amplitude: complex = 1.0) -> SpectralField:
@@ -32,7 +32,7 @@ def single_mode(grid: Grid, index: tuple[int, ...], amplitude: complex = 1.0) ->
     neg = tuple((-i) % grid.n for i in index)
     c[pos] = 0.5 * amplitude
     c[neg] = 0.5 * np.conj(amplitude)
-    return _make(grid, c)
+    return _make(grid, np.ascontiguousarray(c[..., :half]))
 
 
 def wavenumber_of_index(grid: Grid, index: tuple[int, ...]) -> float:

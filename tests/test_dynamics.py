@@ -52,20 +52,27 @@ G3 = Grid(n=16, L=32.0)
 GX = Grid(n=64, L=2.0 * math.pi)
 
 
+def from_full(grid, full):
+    """The field whose full-layout coefficients are `full`, an oracle's
+    result: its k_z < n/2 half, which is all a field holds."""
+    return _make(grid, np.ascontiguousarray(full[..., :grid.n // 2]))
+
+
 def nonlinear_kick(state, duration, cfg):
     """Momentum kick v <- v - duration * |u|^(p-1) u; u and t unchanged.
 
     The oracle of a single separate kick, against which `evolve`'s fused
-    half-kicks are checked.
+    half-kicks are checked; it kicks the full layout.
     """
     g = nonlinear_term(state.u, cfg.p, cfg.oversample).coeffs
-    return WaveState(u=state.u, v=_make(state.grid, state.v.coeffs - duration * g),
+    return WaveState(u=state.u, v=from_full(state.grid, state.v.coeffs - duration * g),
                      t=state.t)
 
 
 def rotate_full(state, duration):
-    """Free-wave rotation of the full layout by symbols computed afresh from
-    `_kmag`: the oracle of `propagate_linear`'s cached half-spectrum kernel."""
+    """Free-wave rotation of the full layout by full-grid symbols computed
+    afresh from `_kmag`: the oracle of `propagate_linear`'s cached
+    half-spectrum kernel."""
     kmag = _kmag(state.grid)
     phase = kmag * duration
     cos = np.cos(phase)
@@ -74,8 +81,8 @@ def rotate_full(state, duration):
         sinc = np.where(kmag > 0.0, sin / np.where(kmag > 0.0, kmag, 1.0), duration)
     neg_ksin = -(kmag * sin)
     uc, vc = state.u.coeffs, state.v.coeffs
-    return WaveState(u=_make(state.grid, cos * uc + sinc * vc),
-                     v=_make(state.grid, neg_ksin * uc + cos * vc),
+    return WaveState(u=from_full(state.grid, cos * uc + sinc * vc),
+                     v=from_full(state.grid, neg_ksin * uc + cos * vc),
                      t=state.t + duration)
 
 
@@ -191,15 +198,17 @@ class TestLinearPropagation:
     @pytest.mark.parametrize("grid, cutoff", [(G3, 0.45)], ids=["dim3"])
     @pytest.mark.parametrize("duration", [0.0, 1.0 / 16, -0.9])
     def test_half_kernel_matches_full_rotation_bit_for_bit(self, grid, cutoff, duration):
-        # values, not sign bits: completing the half writes 0.0 where the
-        # full product of a zero coefficient may give -0.0
+        # the kernel's halves are the full rotation's halves, the signs of
+        # zeros included, since each is the same product of the same values
         w = make_state(14, grid=grid, cutoff=cutoff)
         w = WaveState(u=w.u, v=w.v, t=0.375)
         out = propagate_linear(w, duration)
         ref = rotate_full(w, duration)
         assert out.t == ref.t
-        assert np.array_equal(out.u.coeffs, ref.u.coeffs)
-        assert np.array_equal(out.v.coeffs, ref.v.coeffs)
+        for got, want in ((out.u.half, ref.u.half), (out.v.half, ref.v.half)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
         for sym in dynamics._rotation(grid, duration):
             assert sym.shape == grid.shape[:-1] + (grid.n // 2,)
             assert sym.flags.c_contiguous and not sym.flags.writeable
@@ -318,19 +327,19 @@ class TestWorkspaceIsolation:
     def test_successive_kicks_stay_fresh(self, grid):
         u1 = band_field(grid, 34, cutoff=grid.nyquist, amp=2.0)
         u2 = band_field(grid, 35, cutoff=grid.nyquist, amp=1.0)
-        first = nonlinear_term(u1, 4.0, 2).coeffs
+        first = nonlinear_term(u1, 4.0, 2).half
         kept = first.copy()
-        second = nonlinear_term(u2, 4.0, 2).coeffs
+        second = nonlinear_term(u2, 4.0, 2).half
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
-        assert np.array_equal(nonlinear_term(u1, 4.0, 2).coeffs, kept)
+        assert np.array_equal(nonlinear_term(u1, 4.0, 2).half, kept)
 
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_lebesgue_norm_after_kick(self, grid):
         u1 = band_field(grid, 36, cutoff=grid.nyquist, amp=2.0)
         u2 = band_field(grid, 37, cutoff=grid.nyquist, amp=1.0)
         before = lebesgue_norm(u2, 5.0, 2)
-        g = nonlinear_term(u1, 4.0, 2).coeffs
+        g = nonlinear_term(u1, 4.0, 2).half
         kept = g.copy()
         assert lebesgue_norm(u2, 5.0, 2) == before
         assert np.array_equal(g, kept)
@@ -338,25 +347,27 @@ class TestWorkspaceIsolation:
     def test_kept_states_survive_later_runs(self):
         cfg = StepperConfig(dt=0.125, p=4.0)
         traj = evolve(make_state(38, amp=2.0), 0.75, cfg, sample_interval=0.25)
-        kept = [(s.u.coeffs.copy(), s.v.coeffs.copy()) for s in traj.states]
-        arrays = [a for s in traj.states for a in (s.u.coeffs, s.v.coeffs)]
+        kept = [(s.u.half.copy(), s.v.half.copy()) for s in traj.states]
+        arrays = [a for s in traj.states for a in (s.u.half, s.v.half)]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
         evolve(make_state(39, amp=1.0), 0.75, cfg, sample_interval=0.25)
         nonlinear_term(traj.final.u, 4.0, 2)
         for s, (u, v) in zip(traj.states, kept):
-            assert np.array_equal(s.u.coeffs, u) and np.array_equal(s.v.coeffs, v)
+            assert np.array_equal(s.u.half, u) and np.array_equal(s.v.half, v)
 
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_kick_takes_full_or_half_and_returns_half(self, grid):
-        u = band_field(grid, 40, cutoff=grid.nyquist, amp=2.0).coeffs
+        # a strided view of the full layout's half gives the contiguous
+        # half's bits, and so does the field rebuilt from the full layout
+        f = band_field(grid, 40, cutoff=grid.nyquist, amp=2.0)
         h = grid.n // 2
-        from_full = dynamics._nonlinear_raw(grid, u, 4.0, 2)
-        from_half = dynamics._nonlinear_raw(grid, u[..., :h].copy(), 4.0, 2)
+        from_full = dynamics._nonlinear_raw(grid, f.coeffs[..., :h], 4.0, 2)
+        from_half = dynamics._nonlinear_raw(grid, f.half, 4.0, 2)
         assert from_full.shape == grid.shape[:-1] + (h,)
         assert np.array_equal(from_full, from_half)
-        assert np.array_equal(nonlinear_term(from_coeffs(grid, u), 4.0, 2).coeffs[..., :h],
-                              from_full)
+        assert np.array_equal(nonlinear_term(from_coeffs(grid, f.coeffs), 4.0, 2).half,
+                              from_half)
 
 
 class TestStrangStep:
@@ -605,15 +616,15 @@ class TestEvolve:
     ], ids=["strang-step", "unread", "kept", "observed"])
     def test_only_kept_observed_and_final_samples_are_completed(self, run, completed,
                                                                 monkeypatch):
-        # each completed sample is two `_from_half` calls, for u and for v
+        # each built sample is two `_make` calls, for u and for v
         calls = []
-        original = dynamics._from_half
+        original = dynamics._make
 
-        def from_half(grid, half):
+        def make(grid, half):
             calls.append(grid)
             return original(grid, half)
 
-        monkeypatch.setattr(dynamics, "_from_half", from_half)
+        monkeypatch.setattr(dynamics, "_make", make)
         run(make_state(59, grid=Grid(n=32, L=32.0)), StepperConfig(dt=0.125, p=4.0))
         assert len(calls) == completed
 

@@ -6,6 +6,7 @@ and the closed-form norms of single cosine modes.
 """
 
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,6 @@ from nlwlab.fields import (
     Grid,
     MultiplierSpec,
     _check_oversample,
-    _clean,
     _complete,
     _dft_matrices,
     _forward_product,
@@ -167,24 +167,67 @@ class TestTransform:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_from_coeffs_is_the_reflected_mean_bit_for_bit(self, n):
         # (c + conj(c at -k)) / 2 through `_conj_mirror`, against the same
-        # formula through the flip-and-roll oracle, the signs of zeros included
-        grid = Grid(n=n, L=32.0)
+        # formula through the flip-and-roll oracle: the half bit for bit, the
+        # signs of zeros included, and the full layout value for value (its
+        # k_z > n/2 part is `_complete`'s conjugation of the half)
+        grid, h = Grid(n=n, L=32.0), n // 2
         rng = np.random.default_rng(n)
         for _ in range(5):
             c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
             c.real[rng.random(grid.shape) < 0.1] = -0.0
             c.imag[rng.random(grid.shape) < 0.1] = -0.0
             c.imag[rng.random(grid.shape) < 0.1] = 0.0
-            want = _clean(grid, 0.5 * (c + np.conj(reverse_indices(c))))
-            got = from_coeffs(grid, c).coeffs
+            full = 0.5 * (c + np.conj(reverse_indices(c)))
+            full[h] = full[:, h] = full[:, :, h] = full[0, 0, 0] = 0.0
+            want = full[..., :h]
+            f = from_coeffs(grid, c)
+            got = f.half
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
             assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+            assert np.array_equal(f.coeffs, full)
 
     def test_fields_are_immutable(self):
         f = random_field(G3, 5)
         with pytest.raises(ValueError):
             f.coeffs[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.half[0, 0, 1] = 1.0
+
+
+class TestHalfStorage:
+    """A field holds its k_z < n/2 half only; `coeffs` rebuilds the full
+    layout from it on each read."""
+
+    def test_field_holds_one_contiguous_frozen_half(self):
+        f = random_field(G32, 60)
+        assert [fd.name for fd in dataclasses.fields(f)] == ["grid", "half"]
+        assert f.half.shape == G32.shape[:-1] + (G32.n // 2,)
+        assert f.half.dtype == np.complex128
+        assert f.half.flags.c_contiguous and not f.half.flags.writeable
+
+    @pytest.mark.parametrize("grid", [G3, G32], ids=["n16", "n32"])
+    def test_coeffs_is_the_completed_half_read_only_and_new_on_each_read(self, grid):
+        f = random_field(grid, 61, decay=1.0)
+        first, second = f.coeffs, f.coeffs
+        assert np.array_equal(first, _complete(grid, f.half))
+        assert np.array_equal(first, second)
+        assert first is not second and not np.shares_memory(first, second)
+        assert not np.shares_memory(first, f.half)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("grid", [G3, G32], ids=["n16", "n32"])
+    def test_coeffs_is_exactly_hermitian_and_clean(self, grid):
+        h = grid.n // 2
+        for f in (random_field(grid, 62), from_physical(grid, to_physical(random_field(grid, 63))),
+                  apply_multiplier(random_field(grid, 64), smoothing_multiplier(0.5, 0.9))):
+            c = f.coeffs
+            assert c.shape == grid.shape
+            assert np.array_equal(c, np.conj(reverse_indices(c)))
+            assert c[0, 0, 0] == 0.0
+            assert not np.any(c[h]) and not np.any(c[:, h]) and not np.any(c[:, :, h])
 
 
 class TestSingleModeValidation:
@@ -246,7 +289,7 @@ class TestMultipliers:
         c = np.zeros(G3.shape, dtype=np.complex128)
         c[0, 0, 0] = 1.0
         c[1, 0, 0] = c[-1, 0, 0] = 0.5
-        dirty = type(random_field(G3, 0))(grid=G3, coeffs=c)
+        dirty = type(random_field(G3, 0))(grid=G3, half=np.ascontiguousarray(c[..., :8]))
         mults = (smoothing_multiplier(0.5, 0.9), power_multiplier(-0.5))
         call = {"apply_multiplier": lambda: apply_multiplier(dirty, mults),
                 "sobolev_norm": lambda: sobolev_norm(dirty, 0.5, mults),
@@ -634,7 +677,7 @@ def oversampled_values(field, factor):
     grid = field.grid
     m = _check_oversample(factor) * grid.n
     out = np.empty((m,) * grid.dim)
-    for rows, samples in _sample_slabs(grid, field.coeffs, m, _workspace(grid.n, m)):
+    for rows, samples in _sample_slabs(grid, field.half, m, _workspace(grid.n, m)):
         out[rows] = samples
     return out
 
@@ -726,7 +769,7 @@ class TestWorkspaceMemory:
 
     def test_kick_allocates_only_the_half_it_returns(self):
         u = random_field(G32, 44, decay=1.0)
-        half, peak = self.traced_peak(lambda: _nonlinear_raw(G32, u.coeffs, 4.0, 2))
+        half, peak = self.traced_peak(lambda: _nonlinear_raw(G32, u.half, 4.0, 2))
         assert peak <= half.nbytes + 64 * 2 ** 10
 
     @pytest.mark.parametrize("multipliers", [
@@ -757,12 +800,12 @@ class TestWorkspaceMemory:
         (), smoothing_multiplier(4.0, 0.95),
         (power_multiplier(-0.3), smoothing_multiplier(0.7, 0.95))], ids=["none", "one", "two"])
     def test_apply_multiplier_allocates_only_its_result(self, multipliers):
-        # the half is multiplied in a workspace buffer and conjugated there,
-        # so the reflection is plain copies and no ufunc needs a buffer
+        # the half is multiplied in a workspace buffer and copied out: the
+        # 256 KiB half is all the field holds, and no ufunc needs a buffer
         f = random_field(G32, 42, decay=1.0)
         product, peak = self.traced_peak(lambda: apply_multiplier(f, multipliers))
-        assert product.coeffs.nbytes == 512 * 2 ** 10
-        assert peak <= product.coeffs.nbytes + 4 * 2 ** 10
+        assert product.half.nbytes == 256 * 2 ** 10
+        assert peak <= product.half.nbytes + 4 * 2 ** 10
 
     def test_meter_builds_no_field(self):
         # each (cutoff, triple) norm multiplies u's half in a workspace
@@ -933,7 +976,7 @@ class TestOversampledValues:
         buffers = [a for m in (grid.n, 2 * grid.n)
                    for a in workspace_arrays(_workspace(grid.n, m))]
         for transform in (to_physical, lambda x: oversampled_values(x, 2),
-                          lambda x: from_physical(grid, to_physical(x)).coeffs):
+                          lambda x: from_physical(grid, to_physical(x)).half):
             first = transform(f)
             kept = first.copy()
             assert not any(np.shares_memory(first, b) for b in buffers)
@@ -1001,10 +1044,13 @@ class TestOversampledValues:
 
     @pytest.mark.parametrize("grid", [G3], ids=["dim3"])
     def test_complete_rebuilds_a_field_from_its_half(self, grid):
-        f = random_field(grid, 16)
-        full = _complete(grid, f.coeffs[..., :grid.n // 2])
-        assert np.array_equal(full, f.coeffs)
-        assert not np.shares_memory(full, f.coeffs)
+        # against the flip-and-roll oracle, written apart from `_conj_mirror`
+        f, h = random_field(grid, 16), grid.n // 2
+        full = _complete(grid, f.half)
+        assert np.array_equal(full[..., :h], f.half)
+        assert not np.any(full[..., h])
+        assert np.array_equal(full, np.conj(reverse_indices(full)))
+        assert not np.shares_memory(full, f.half)
 
 
 class TestFrequencySplit:

@@ -198,6 +198,25 @@ def test_golden_covers_every_experiment(golden, golden_summaries):
     assert sorted(golden_summaries) == sorted(SHRUNK)
 
 
+@pytest.mark.parametrize("name", ["growth", "strichartz"])
+def test_runs_never_complete_a_field(name, monkeypatch):
+    # every kernel reads and writes k_z < n/2 halves, so a run builds no
+    # full layout; only a reader of `.coeffs` does, which the spy counts
+    calls = []
+    complete = fields._complete
+
+    def spy(grid, half):
+        calls.append(grid)
+        return complete(grid, half)
+
+    monkeypatch.setattr(fields, "_complete", spy)
+    result = run_experiment(name, build_config(name, overrides=SHRUNK[name]), workers=1)
+    assert result.records and calls == []
+    grid = fields.Grid(n=16, L=32.0)
+    fields.from_physical(grid, np.ones(grid.shape)).coeffs
+    assert calls == [grid]
+
+
 @pytest.mark.parametrize("name", sorted(SHRUNK))
 def test_numeric_columns_match_golden(name, golden):
     bad = _mismatches(name, numeric_columns(name), golden[name])
